@@ -64,11 +64,6 @@ let baselines () =
   print_string
     (Noc_experiments.Baselines_compare.render (Noc_experiments.Baselines_compare.run ()))
 
-let dvs () =
-  section "Extension: DVS slack reclamation on top of EAS";
-  print_string
-    (Noc_experiments.Dvs_extension.render (Noc_experiments.Dvs_extension.run ()))
-
 let repair_moves ~quick =
   section "Ablation: repair move kinds (EAS Step 3)";
   let scale = if quick then Some 0.3 else None in
@@ -128,15 +123,6 @@ let micro () =
                    (Noc_util.Interval.make ~start ~stop:(start +. 1.))
                done;
                ignore (Noc_util.Timeline.earliest_gap tl ~after:0. ~duration:1.5)));
-        Test.make ~name:"timeline-map/reserve-gap"
-          (Staged.stage (fun () ->
-               let tl = Noc_util.Timeline_map.create () in
-               for i = 0 to 99 do
-                 let start = float_of_int (2 * i) in
-                 Noc_util.Timeline_map.reserve tl
-                   (Noc_util.Interval.make ~start ~stop:(start +. 1.))
-               done;
-               ignore (Noc_util.Timeline_map.earliest_gap tl ~after:0. ~duration:1.5)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
@@ -1476,7 +1462,7 @@ let () =
   let all =
     [
       "fig5"; "fig6"; "tab1"; "tab2"; "tab3"; "fig7"; "split"; "ablation"; "topo";
-      "weights"; "repairmoves"; "dvs"; "baselines"; "buffering"; "faults";
+      "weights"; "repairmoves"; "baselines"; "buffering"; "faults";
       "parallel"; "obs"; "serve"; "routing"; "mapping"; "dvfs";
     ]
   in
@@ -1496,7 +1482,6 @@ let () =
       | "topo" -> topo ()
       | "weights" -> weights ()
       | "repairmoves" -> repair_moves ~quick
-      | "dvs" -> dvs ()
       | "baselines" -> baselines ()
       | "buffering" -> buffering ()
       | "faults" -> faults ~quick

@@ -144,8 +144,7 @@ let load_ctg path =
   | Ok ctg -> ctg
 
 let platform_for_ctg ~mesh ~routing ctg =
-  let cols, rows = mesh in
-  let platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~routing ~cols ~rows () in
+  let platform = Noc_experiments.Pipeline.mesh_platform ~routing mesh in
   if Noc_ctg.Ctg.n_pes ctg <> Noc_noc.Platform.n_pes platform then
     failwith "graph PE count does not match --mesh";
   platform
@@ -153,10 +152,7 @@ let platform_for_ctg ~mesh ~routing ctg =
 let platform_and_ctg spec ~mesh ~tasks ~tightness ~routing =
   match spec with
   | Tgff seed ->
-    let cols, rows = mesh in
-    let platform =
-      Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~routing ~cols ~rows ()
-    in
+    let platform = Noc_experiments.Pipeline.mesh_platform ~routing mesh in
     let params =
       { Noc_tgff.Params.default with n_tasks = tasks; deadline_tightness = tightness }
     in
@@ -274,8 +270,7 @@ let generate_cmd =
                    $(b,schedule -)).")
   in
   let run seed tasks tightness mesh dot output =
-    let cols, rows = mesh in
-    let platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols ~rows () in
+    let platform = Noc_experiments.Pipeline.mesh_platform mesh in
     let params =
       { Noc_tgff.Params.default with n_tasks = tasks; deadline_tightness = tightness }
     in
@@ -385,49 +380,50 @@ let schedule_cmd =
         let ctg = load_ctg path in
         (platform_for_ctg ~mesh ~routing ctg, ctg)
     in
-    let pinned =
-      if not map_search then None
+    (* One kernel serves the mapping search and the pinned schedule. *)
+    let kernel, pinned =
+      if not map_search then (None, None)
       else begin
         if algo = Noc_experiments.Runner.Edf then
           failwith "--map-search needs a placement-aware scheduler (eas or eas-base)";
-        let r = Noc_map.Search.run ?jobs platform ctg in
+        let kernel =
+          Noc_obs.Trace.span ~cat:"map" "map/kernel" (fun () ->
+              Noc_eas.Kernel.build platform ctg)
+        in
+        let r = Noc_map.Search.run ?jobs ~kernel platform ctg in
         Noc_obs.Log.infof "map search: winner %s (static value %.6g)"
           (Noc_map.Search.origin_name r.Noc_map.Search.winner.origin)
           r.Noc_map.Search.winner.static_value;
-        Some r.Noc_map.Search.winner.mapping
+        (Some kernel, Some r.Noc_map.Search.winner.mapping)
       end
     in
-    (* One scheduler run serves metrics, outputs and the decision log
-       alike — a second run would duplicate every --decisions record
-       and double the command's wall time. *)
-    let t0 = Noc_util.Clock.wall_s () in
-    let schedule = Noc_experiments.Runner.schedule_of ?pinned ?jobs algo platform ctg in
-    let runtime_seconds = Noc_util.Clock.wall_s () -. t0 in
-    let metrics = Noc_sched.Metrics.compute platform ctg schedule in
+    (* EAS Step 4 runs when --dvfs is given: the committed schedule is
+       downclocked into its slack, and the scaled schedule is what
+       --save-schedule persists (format v3); the printed Eq.-3 metrics
+       stay those of the unscaled base. One scheduler run serves
+       metrics, outputs and the decision log alike — a second run would
+       duplicate every --decisions record and double the wall time. *)
+    let vf =
+      if dvfs then Some (Option.value ~default:Noc_dvfs.Vf_table.default vf_levels)
+      else None
+    in
+    let ({ schedule; runtime_seconds; metrics; diagnostics; dvfs = dvfs_result }
+          : Noc_experiments.Pipeline.result) =
+      Noc_experiments.Pipeline.run ?kernel ?pinned ?jobs ?vf algo platform ctg
+    in
     Format.printf "%s on %a / %a@."
       (Noc_experiments.Runner.algo_name algo)
       Noc_noc.Platform.pp platform Noc_ctg.Ctg.pp ctg;
     Format.printf "%a@." Noc_sched.Metrics.pp metrics;
     Noc_obs.Log.infof "scheduler runtime: %.3f s" runtime_seconds;
     let resource_violations =
-      Noc_sched.Validate.check platform ctg schedule
-      |> List.filter (function
-           | Noc_sched.Validate.Deadline_miss _ -> false
-           | Noc_sched.Validate.Malformed _ | Noc_sched.Validate.Task_overlap _
-           | Noc_sched.Validate.Link_conflict _ | Noc_sched.Validate.Dependency _
-             -> true)
-      |> List.length
+      Noc_experiments.Runner.resource_violations platform ctg schedule
     in
     if resource_violations > 0 then
       Noc_obs.Log.warnf "%d resource violations" resource_violations;
-    (* EAS Step 4: downclock the committed schedule into its slack. The
-       scaled schedule is what --save-schedule persists (format v3); the
-       printed Eq.-3 metrics above stay those of the unscaled base. *)
-    let dvfs_result =
-      if not dvfs then None
-      else begin
-        let table = Option.value ~default:Noc_dvfs.Vf_table.default vf_levels in
-        let r = Noc_dvfs.Reclaim.run ~table ctg schedule in
+    Option.iter
+      (fun (d : Noc_experiments.Pipeline.dvfs) ->
+        let r = d.reclaim in
         let before = r.Noc_dvfs.Reclaim.computation_energy_before in
         let after = r.Noc_dvfs.Reclaim.computation_energy_after in
         let saved = Noc_dvfs.Reclaim.reclaimed r in
@@ -436,7 +432,7 @@ let schedule_cmd =
           -. metrics.Noc_sched.Metrics.computation_energy
         in
         Format.printf "dvfs: levels {%s} x f_max, %d/%d tasks downclocked@."
-          (Noc_dvfs.Vf_table.to_string table)
+          (Noc_dvfs.Vf_table.to_string d.table)
           r.Noc_dvfs.Reclaim.downclocked (Noc_ctg.Ctg.n_tasks ctg);
         Format.printf
           "dvfs: computation energy %.1f -> %.1f nJ (reclaimed %.1f nJ, %.1f%%), \
@@ -444,20 +440,15 @@ let schedule_cmd =
           before after saved
           (if before > 0. then 100. *. saved /. before else 0.)
           (before +. comm) (after +. comm);
-        let scaled_misses =
-          Noc_sched.Metrics.miss_count
-            (Noc_sched.Metrics.compute platform ctg r.Noc_dvfs.Reclaim.schedule)
-        in
+        let scaled_misses = Noc_sched.Metrics.miss_count d.scaled_metrics in
         if scaled_misses > Noc_sched.Metrics.miss_count metrics then
           Noc_obs.Log.errorf "dvfs: reclamation introduced deadline misses (%d)"
-            scaled_misses;
-        Some (table, r)
-      end
-    in
+            scaled_misses)
+      dvfs_result;
     Option.iter
       (fun path ->
         (match dvfs_result with
-        | Some (_, r) ->
+        | Some { reclaim = r; _ } ->
           Noc_sched.Schedule_io.save ~dvfs:r.Noc_dvfs.Reclaim.annotations ~path
             r.Noc_dvfs.Reclaim.schedule
         | None -> Noc_sched.Schedule_io.save ~path schedule);
@@ -472,18 +463,11 @@ let schedule_cmd =
       Format.printf "%a@." Noc_sched.Utilization.pp
         (Noc_sched.Utilization.compute platform schedule);
     if gantt then print_string (Noc_sched.Gantt.render platform ctg schedule);
-    report_certification ~label:"schedule"
-      (Noc_analysis.Certify.check
-         ~claimed_energy:metrics.Noc_sched.Metrics.total_energy platform ctg
-         schedule);
-    (match dvfs_result with
-    | None -> ()
-    | Some (table, r) ->
-      report_certification ~label:"dvfs schedule"
-        (Noc_analysis.Certify.check_scaled
-           ~ratios:(Noc_dvfs.Vf_table.ratios table)
-           ~annotations:r.Noc_dvfs.Reclaim.annotations ~base:schedule platform ctg
-           r.Noc_dvfs.Reclaim.schedule));
+    report_certification ~label:"schedule" diagnostics;
+    Option.iter
+      (fun (d : Noc_experiments.Pipeline.dvfs) ->
+        report_certification ~label:"dvfs schedule" d.scaled_diagnostics)
+      dvfs_result;
     Ok ()
   in
   Cmd.v
@@ -670,7 +654,9 @@ let simulate_cmd =
         let ctg = load_ctg path in
         (platform_for_ctg ~mesh ~routing ctg, ctg)
     in
-    let schedule = Noc_experiments.Runner.schedule_of algo platform ctg in
+    let ({ schedule; metrics = planned; diagnostics; _ } : Noc_experiments.Pipeline.result) =
+      Noc_experiments.Pipeline.run algo platform ctg
+    in
     let discipline =
       if self_timed then Noc_sim.Executor.Self_timed else Noc_sim.Executor.Time_triggered
     in
@@ -678,7 +664,6 @@ let simulate_cmd =
     | Error msg -> Error (`Msg msg)
     | Ok faults ->
       let outcome = Noc_sim.Executor.run ~discipline ~faults platform ctg schedule in
-      let planned = Noc_sched.Metrics.compute platform ctg schedule in
       Format.printf "planned : %a@." Noc_sched.Metrics.pp planned;
       if Noc_fault.Fault_set.is_empty faults then begin
         let realised =
@@ -710,10 +695,7 @@ let simulate_cmd =
                resched.Noc_eas.Fault_resched.schedule)
         end
       end;
-      report_certification ~label:"planned schedule"
-        (Noc_analysis.Certify.check
-           ~claimed_energy:planned.Noc_sched.Metrics.total_energy platform ctg
-           schedule);
+      report_certification ~label:"planned schedule" diagnostics;
       Option.iter
         (fun n ->
           Format.printf "criticality (top %d):@." n;
@@ -829,10 +811,8 @@ let analyze_cmd =
     | Error msg -> Error (`Msg msg)
     | Ok faults ->
       let platform, ctg =
-        if platform_only then begin
-          let cols, rows = mesh in
-          (Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~routing ~cols ~rows (), None)
-        end
+        if platform_only then
+          (Noc_experiments.Pipeline.mesh_platform ~routing mesh, None)
         else
           match ctg_file with
           | Some path ->
@@ -969,7 +949,7 @@ let experiment_cmd =
   let which_arg =
     let doc =
       "Campaign id: fig5, fig6, tab1, tab2, tab3, fig7, split, ablation, topo, \
-       weights, repairmoves, dvs, baselines, buffering, faults or mapping. Omit \
+       weights, repairmoves, dvfs, baselines, buffering, faults or mapping. Omit \
        the id to run every campaign (optionally filtered by $(b,--only))."
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
@@ -1061,10 +1041,6 @@ let experiment_cmd =
               print_string
                 (Noc_experiments.Repair_ablation.render
                    (Noc_experiments.Repair_ablation.run ?jobs ?scale ())) );
-          ( "dvs",
-            fun () ->
-              print_string
-                (Noc_experiments.Dvs_extension.render (Noc_experiments.Dvs_extension.run ())) );
           ( "dvfs",
             fun () ->
               let rows =

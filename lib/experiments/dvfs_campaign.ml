@@ -65,30 +65,24 @@ let msb_work =
 
 let evaluate ~table work =
   let platform, ctg = work.w_build () in
-  let schedule = Runner.schedule_of Runner.Eas platform ctg in
-  let metrics = Noc_sched.Metrics.compute platform ctg schedule in
-  let r = Noc_dvfs.Reclaim.run ~table ctg schedule in
-  let reclaimed = Noc_dvfs.Reclaim.reclaimed r in
-  let scaled_metrics =
-    Noc_sched.Metrics.compute platform ctg r.Noc_dvfs.Reclaim.schedule
-  in
-  let certified =
-    Noc_analysis.Certify.certifies_scaled
-      ~ratios:(Noc_dvfs.Vf_table.ratios table)
-      ~annotations:r.Noc_dvfs.Reclaim.annotations ~base:schedule platform ctg
-      r.Noc_dvfs.Reclaim.schedule
+  let p = Pipeline.run Runner.Eas platform ctg in
+  let d = Pipeline.reclaim table platform ctg p.Pipeline.schedule in
+  let eas_energy = p.Pipeline.metrics.Noc_sched.Metrics.total_energy in
+  let reclaimed = Noc_dvfs.Reclaim.reclaimed d.Pipeline.reclaim in
+  let cert_errors, _, _ =
+    Noc_analysis.Diagnostic.count d.Pipeline.scaled_diagnostics
   in
   {
     name = work.w_name;
     category = work.w_category;
     tasks = Noc_ctg.Ctg.n_tasks ctg;
-    eas_energy = metrics.Noc_sched.Metrics.total_energy;
-    dvfs_energy = metrics.Noc_sched.Metrics.total_energy -. reclaimed;
+    eas_energy;
+    dvfs_energy = eas_energy -. reclaimed;
     reclaimed;
-    downclocked = r.Noc_dvfs.Reclaim.downclocked;
-    base_misses = Noc_sched.Metrics.miss_count metrics;
-    scaled_misses = Noc_sched.Metrics.miss_count scaled_metrics;
-    certified;
+    downclocked = d.Pipeline.reclaim.Noc_dvfs.Reclaim.downclocked;
+    base_misses = Noc_sched.Metrics.miss_count p.Pipeline.metrics;
+    scaled_misses = Noc_sched.Metrics.miss_count d.Pipeline.scaled_metrics;
+    certified = cert_errors = 0;
   }
 
 let run ?jobs ?(table = Noc_dvfs.Vf_table.default) ?(indices = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ])

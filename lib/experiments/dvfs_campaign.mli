@@ -17,7 +17,8 @@ type row = {
   downclocked : int;
   base_misses : int;
   scaled_misses : int;
-  certified : bool;  (** {!Noc_analysis.Certify.certifies_scaled} *)
+  certified : bool;
+      (** {!Noc_analysis.Certify.check_scaled} found no error. *)
 }
 
 val run :

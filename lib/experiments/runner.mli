@@ -34,6 +34,7 @@ val evaluate :
 
 val schedule_of :
   ?comm_model:Noc_sched.Comm_sched.model ->
+  ?kernel:Noc_eas.Kernel.t ->
   ?pinned:int array ->
   ?jobs:int ->
   algo ->
@@ -42,9 +43,16 @@ val schedule_of :
   Noc_sched.Schedule.t
 (** [jobs] parallelises the EAS candidate walks on {!Noc_util.Pool}
     (default 1; EDF ignores it). Schedules are bit-identical at every
-    job count. [pinned] fixes the task-to-PE assignment for the EAS
-    variants (see {!Noc_eas.Eas.schedule}); EDF raises
-    [Invalid_argument] when given one. *)
+    job count. [kernel] reuses a prebuilt {!Noc_eas.Kernel} for the EAS
+    variants (bit-neutral; EDF ignores it). [pinned] fixes the
+    task-to-PE assignment for the EAS variants (see
+    {!Noc_eas.Eas.schedule}); EDF raises [Invalid_argument] when given
+    one. *)
+
+val resource_violations :
+  Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> int
+(** {!Noc_sched.Validate} findings other than deadline misses; 0 for a
+    correct scheduler. *)
 
 val savings : baseline:float -> float -> float
 (** [savings ~baseline v] is [(baseline - v) / baseline]; the paper's

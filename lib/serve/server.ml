@@ -10,6 +10,7 @@ module Schedule_io = Noc_sched.Schedule_io
 module Metrics = Noc_sched.Metrics
 module Fault_set = Noc_fault.Fault_set
 module Runner = Noc_experiments.Runner
+module Pipeline = Noc_experiments.Pipeline
 module Certify = Noc_analysis.Certify
 module Diagnostic = Noc_analysis.Diagnostic
 
@@ -67,22 +68,22 @@ let make_state config =
     errors = Atomic.make 0;
   }
 
-(* Same seed as the CLI front end: the daemon must serve bit-identical
-   schedules to one-shot `nocsched schedule` runs. Routes are warmed
-   before the platform is published so pool workers only ever read the
-   memo. *)
-let platform_for state (cols, rows) =
+(* {!Pipeline.mesh_platform}, as in the CLI front end, so the daemon
+   serves bit-identical schedules to one-shot `nocsched schedule` runs.
+   Routes are warmed before the platform is published so pool workers
+   only ever read the memo. *)
+let platform_for state mesh =
   Mutex.lock state.platforms_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock state.platforms_lock)
     (fun () ->
-      match Hashtbl.find_opt state.platforms (cols, rows) with
+      match Hashtbl.find_opt state.platforms mesh with
       | Some pd -> pd
       | None ->
-        let p = Platform.heterogeneous_mesh ~seed:42 ~cols ~rows () in
+        let p = Pipeline.mesh_platform mesh in
         Platform.warm_routes p;
         let pd = (p, Platform.digest p) in
-        Hashtbl.replace state.platforms (cols, rows) pd;
+        Hashtbl.replace state.platforms mesh pd;
         pd)
 
 (* Parse-and-digest, memoized on the raw text (see [state.parses]). *)
@@ -173,14 +174,21 @@ let relabel (entry : entry) (ctg : Ctg.t) =
 (* ------------------------------------------------------------------ *)
 (* Scheduling.                                                         *)
 
-let kernel_for state platform ctg ~ctg_digest ~platform_digest =
-  let key = ctg_digest ^ ":" ^ platform_digest in
-  match Cache.find state.kernels key with
-  | Some k -> k
-  | None ->
-    let k = Noc_eas.Kernel.build platform ctg in
-    Cache.add state.kernels key k;
-    k
+(* Kernels are reused across runs — [Kernel.build] is deterministic and
+   the kernel is read-only after construction, so reuse is bit-neutral.
+   EDF takes no kernel, so it neither builds nor caches one. *)
+let kernel_for state platform ctg algo ~digests =
+  let ctg_digest, platform_digest = digests in
+  match algo with
+  | Runner.Edf -> None
+  | Runner.Eas | Runner.Eas_base -> (
+    let key = ctg_digest ^ ":" ^ platform_digest in
+    match Cache.find state.kernels key with
+    | Some k -> Some k
+    | None ->
+      let k = Noc_eas.Kernel.build platform ctg in
+      Cache.add state.kernels key k;
+      Some k)
 
 let certification_error diags =
   let errors, warnings, _ = Diagnostic.count diags in
@@ -197,44 +205,25 @@ let certification_error diags =
          | Some d -> Format.asprintf "%a" Diagnostic.pp d
          | None -> "?"))
 
-(* A full (cache-miss) computation: schedule, derive metrics, certify.
-   Kernels are reused across runs — [Kernel.build] is deterministic and
-   the kernel is read-only after construction, so reuse is bit-neutral. *)
-let raw_schedule state platform ctg algo ~digests =
-  let ctg_digest, platform_digest = digests in
-  match algo with
-  | Runner.Eas ->
-    (Noc_eas.Eas.schedule
-       ~kernel:(kernel_for state platform ctg ~ctg_digest ~platform_digest)
-       platform ctg)
-      .Noc_eas.Eas.schedule
-  | Runner.Eas_base ->
-    (Noc_eas.Eas.schedule ~repair:false
-       ~kernel:(kernel_for state platform ctg ~ctg_digest ~platform_digest)
-       platform ctg)
-      .Noc_eas.Eas.schedule
-  | Runner.Edf -> Runner.schedule_of Runner.Edf platform ctg
-
+(* A full (cache-miss) computation through the certified pipeline. *)
 let compute_fresh state platform ctg algo ~digests ~want_decisions =
-  let run () = raw_schedule state platform ctg algo ~digests in
-  let schedule, decisions =
+  let kernel = kernel_for state platform ctg algo ~digests in
+  let run () = Pipeline.run ?kernel algo platform ctg in
+  let p, decisions =
     if want_decisions then
-      let s, d = capture_decisions run in
-      (s, Some d)
+      let p, d = capture_decisions run in
+      (p, Some d)
     else (run (), None)
   in
-  let metrics = Metrics.compute platform ctg schedule in
-  let diags =
-    Certify.check ~claimed_energy:metrics.Metrics.total_energy platform ctg schedule
-  in
-  match certification_error diags with
+  match certification_error p.Pipeline.diagnostics with
   | Some msg -> Error msg
   | None ->
+    let metrics = p.Pipeline.metrics in
     Ok
       {
         ctg;
-        schedule;
-        text = Schedule_io.to_string schedule;
+        schedule = p.Pipeline.schedule;
+        text = Schedule_io.to_string p.Pipeline.schedule;
         energy = metrics.Metrics.total_energy;
         makespan = metrics.Metrics.makespan;
         misses = Metrics.miss_count metrics;
@@ -339,44 +328,35 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
   in
   let fresh () =
     let base_result =
-      if decisions then (
-        let (base, r), jsonl =
+      if decisions then
+        let kernel = kernel_for state platform ctg algo ~digests in
+        let (p, d), jsonl =
           capture_decisions (fun () ->
-              let base = raw_schedule state platform ctg algo ~digests in
-              (base, Noc_dvfs.Reclaim.run ~table ctg base))
+              let p = Pipeline.run ?kernel algo platform ctg in
+              (p, Pipeline.reclaim table platform ctg p.Pipeline.schedule))
         in
-        let metrics = Metrics.compute platform ctg base in
-        match
-          certification_error
-            (Certify.check ~claimed_energy:metrics.Metrics.total_energy platform
-               ctg base)
-        with
+        match certification_error p.Pipeline.diagnostics with
         | Some msg -> Error msg
-        | None -> Ok (base, metrics.Metrics.total_energy, false, Some jsonl, r))
+        | None -> Ok (p.Pipeline.metrics.Metrics.total_energy, false, Some jsonl, d)
       else
         match obtain state platform ctg algo ~digests ~want_decisions:false with
         | Error msg -> Error msg
         | Ok (base_entry, base_cached, _) ->
           Ok
-            ( base_entry.schedule,
-              base_entry.energy,
+            ( base_entry.energy,
               base_cached,
               None,
-              Noc_dvfs.Reclaim.run ~table ctg base_entry.schedule )
+              Pipeline.reclaim table platform ctg base_entry.schedule )
     in
     match base_result with
     | Error msg -> Protocol.error_line ?id msg
-    | Ok (base, base_energy, base_cached, dlog, r) -> (
-      let annotations = r.Noc_dvfs.Reclaim.annotations in
-      let scaled = r.Noc_dvfs.Reclaim.schedule in
-      match
-        certification_error
-          (Certify.check_scaled
-             ~ratios:(Noc_dvfs.Vf_table.ratios table)
-             ~annotations ~base platform ctg scaled)
-      with
+    | Ok (base_energy, base_cached, dlog, d) -> (
+      match certification_error d.Pipeline.scaled_diagnostics with
       | Some msg -> Protocol.error_line ?id ("dvfs: " ^ msg)
       | None ->
+        let r = d.Pipeline.reclaim in
+        let annotations = r.Noc_dvfs.Reclaim.annotations in
+        let scaled = r.Noc_dvfs.Reclaim.schedule in
         let reclaimed = Noc_dvfs.Reclaim.reclaimed r in
         let entry =
           {
@@ -385,7 +365,7 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
             text = Schedule_io.to_string ~dvfs:annotations scaled;
             energy = base_energy -. reclaimed;
             makespan = Schedule.makespan scaled;
-            misses = Metrics.miss_count (Metrics.compute platform ctg scaled);
+            misses = Metrics.miss_count d.Pipeline.scaled_metrics;
             decisions = dlog;
             resched = None;
             dvfs = Some (table, annotations, r.Noc_dvfs.Reclaim.downclocked, reclaimed);

@@ -403,7 +403,10 @@ let binary =
     (Filename.dirname Sys.executable_name)
     (Filename.concat ".." (Filename.concat "bin" "nocsched.exe"))
 
-let test_one_shot_differential () =
+(* [dvfs] adds `--dvfs` to the one-shot run and the default ladder to
+   the request: the scaled (format v3) schedule and the decision log,
+   EAS placements followed by the downclocks, must match byte for byte. *)
+let one_shot_differential ~dvfs ~tasks () =
   let ctg_file = Filename.temp_file "serve_diff" ".ctg" in
   let sched_file = Filename.temp_file "serve_diff" ".sched" in
   let dec_file = Filename.temp_file "serve_diff" ".jsonl" in
@@ -412,17 +415,20 @@ let test_one_shot_differential () =
       List.iter (fun f -> try Sys.remove f with Sys_error _ -> ())
         [ ctg_file; sched_file; dec_file ])
     (fun () ->
-      let g = graph ~tasks:18 7 in
+      let g = graph ~tasks 7 in
       Ctg_io.save ~path:ctg_file g;
       let command =
-        Printf.sprintf "%s schedule %s --save-schedule %s --decisions %s --quiet >/dev/null 2>&1"
-          binary (Filename.quote ctg_file) (Filename.quote sched_file)
-          (Filename.quote dec_file)
+        Printf.sprintf
+          "%s schedule %s%s --save-schedule %s --decisions %s --quiet >/dev/null 2>&1"
+          binary (Filename.quote ctg_file)
+          (if dvfs then " --dvfs" else "")
+          (Filename.quote sched_file) (Filename.quote dec_file)
       in
       Alcotest.(check int) "one-shot run exits 0" 0 (Sys.command command);
       let read f = In_channel.with_open_bin f In_channel.input_all in
       let state = mk_state () in
-      let reply = expect_ok state (schedule_line ~decisions:true g) in
+      let dvfs = if dvfs then Some Noc_dvfs.Vf_table.default else None in
+      let reply = expect_ok state (schedule_line ~decisions:true ?dvfs g) in
       Alcotest.(check string) "daemon schedule = one-shot --save-schedule"
         (read sched_file) (str_member "schedule" reply);
       Alcotest.(check string) "daemon decision log = one-shot --decisions"
@@ -535,7 +541,10 @@ let suite =
     Alcotest.test_case "incremental reschedule" `Quick test_reschedule_incremental;
     Alcotest.test_case "simulate request" `Quick test_simulate_request;
     Alcotest.test_case "stats shape" `Quick test_stats_shape;
-    Alcotest.test_case "one-shot differential" `Quick test_one_shot_differential;
+    Alcotest.test_case "one-shot differential" `Quick
+      (one_shot_differential ~dvfs:false ~tasks:18);
+    Alcotest.test_case "one-shot dvfs differential" `Quick
+      (one_shot_differential ~dvfs:true ~tasks:40);
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "dvfs never aliases the unscaled cache" `Quick
       test_dvfs_no_cache_aliasing;
