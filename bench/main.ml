@@ -209,8 +209,8 @@ module Json_bench = struct
 
     (* ns per journal entry undone: reserve a burst at the end of a
        [slots]-slot table, then release it in reverse order — exactly
-       what Resource_state.rollback does after a tentative F(i,k)
-       probe. *)
+       what Resource_state.rollback does after the reference level
+       scheduler's tentative F(i,k) probe. *)
     let bench_rollback ~repeats ~slots =
       let tl = build slots in
       let burst = 100 in
@@ -228,7 +228,7 @@ module Json_bench = struct
   end
 
   module Indexed = Ops (Noc_util.Timeline)
-  module Reference = Ops (Noc_util.Timeline_reference)
+  module Reference = Ops (Noc_oracle.Timeline_reference)
 
   type row = { op : string; slots : int; indexed_ns : float; reference_ns : float }
 

@@ -11,8 +11,10 @@
     (data-ready time through the contention-aware communication
     scheduler, and the PE's schedule table) and the heterogeneity
     adjustment [delta(i, k) = mean_exec(i) - exec(i, k)] rewarding PEs
-    that run the task faster than average. The pair with the largest
-    dynamic level is committed.
+    that run the task faster than average. Start times are probed
+    read-only through {!Noc_eas.Kernel.data_ready} and the PE's table;
+    the pair with the largest dynamic level is committed through
+    {!Noc_sched.Partial.commit}.
 
     DLS maximises performance and is oblivious to energy — together with
     EDF it brackets EAS from the performance side, while
@@ -22,15 +24,11 @@ val static_levels : Noc_ctg.Ctg.t -> float array
 (** [SL(i)]: longest mean-execution-time path from task [i] (inclusive)
     to any sink. *)
 
-type stats = { runtime_seconds : float; misses : int }
-
-type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
-
 val schedule :
   ?comm_model:Noc_sched.Comm_sched.model ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
-  outcome
+  Noc_sched.Schedule.t
 
 val name : string
 (** ["DLS"]. *)

@@ -6,12 +6,15 @@
     per-(src, dst) route hops, bit energy and link arrays — flat
     [float array]s indexed [task * n_pes + pe] and [src * n_pes + dst].
 
-    Every value is produced by exactly the float expression the probing
-    path ({!Level_sched_reference}, {!Noc_sched.Comm_sched}) evaluates —
-    same operands, same operation order — so schedules computed through
-    the kernel are bit-identical to the reference. The differential
-    suite ([test_kernel_diff]) and the qcheck matrix properties
-    ([test_kernel]) enforce this.
+    Every value is produced by exactly the float expression the
+    committing path ({!Noc_sched.Comm_sched}, {!Noc_sched.Partial})
+    evaluates — same operands, same operation order — so a probe here
+    returns bit for bit what reserving the transactions for real would
+    give. EAS level scheduling and the EDF and DLS baselines probe only
+    through this module. The differential suite ([test_kernel_diff],
+    against the reserve-then-rollback reference scheduler in
+    [test/oracle]) and the qcheck matrix properties ([test_kernel])
+    enforce this.
 
     On a degraded platform the matrices are built over the surviving
     routes; a disconnected (src, dst) pair is stored with [hops = -1]
@@ -78,7 +81,7 @@ val data_ready :
     towards [pe] against the shared link tables without mutating them —
     tentative reservations go to private per-probe overlay timelines,
     and feasibility is checked on shared table plus overlay, which sees
-    the same merged busy set the reserve-then-rollback path sees.
+    the same merged busy set that reserving for real would.
     Returns the latest arrival ([0.] with no pendings), or [infinity]
     when a predecessor cannot reach [pe]. Safe to call concurrently
     from {!Noc_util.Pool} workers as long as nobody mutates [state]. *)
@@ -92,11 +95,11 @@ val finish_time :
   pe:int ->
   float
 (** F(task, pe): {!data_ready}, then the earliest gap of the task's
-    execution time on [pe]'s table at or after [max drt release] —
-    bit-identical to the reference's reserve-then-rollback probe
-    ([infinity] when a predecessor cannot reach [pe]). {!Level_sched}
-    inlines the second stage so it can cache the two stages separately;
-    this composition is the differential tests' single-probe entry. *)
+    execution time on [pe]'s table at or after [max drt release] — the
+    finish {!Noc_sched.Partial.commit} would give ([infinity] when a
+    predecessor cannot reach [pe]). {!Level_sched} inlines the second
+    stage so it can cache the two stages separately; the EDF baseline
+    and the differential tests call this composition directly. *)
 
 val drt_deps :
   ?model:Noc_sched.Comm_sched.model ->

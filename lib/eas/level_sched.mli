@@ -16,14 +16,15 @@
       on its cheapest deadline-respecting PE. A task whose list has a
       single PE has infinite regret and is scheduled first.
 
-    Unlike {!Level_sched_reference} — the original reserve-then-rollback
-    implementation, kept as the differential oracle — the probes here
-    are read-only {!Kernel.finish_time} evaluations whose results are
-    memoized and revalidated against the {!Noc_util.Timeline.version}s
-    of the tables each probe consulted, so each commit only re-probes
-    the (i,k) pairs it actually invalidated. Both paths produce
-    bit-identical schedules and decision logs; [test_kernel_diff]
-    enforces this. *)
+    Unlike the original reserve-then-rollback implementation — kept as
+    the differential oracle [Level_sched_reference] in [test/oracle] —
+    the probes here are read-only {!Kernel.finish_time} evaluations
+    whose results are memoized and revalidated against the
+    {!Noc_util.Timeline.version}s of the tables each probe consulted,
+    so each commit only re-probes the (i,k) pairs it actually
+    invalidated. Commits go through {!Noc_sched.Partial.commit}. Both
+    paths produce bit-identical schedules and decision logs;
+    [test_kernel_diff] enforces this. *)
 
 val run :
   ?comm_model:Noc_sched.Comm_sched.model ->

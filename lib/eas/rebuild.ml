@@ -1,6 +1,5 @@
 module Schedule = Noc_sched.Schedule
-module Comm_sched = Noc_sched.Comm_sched
-module Resource_state = Noc_sched.Resource_state
+module Partial = Noc_sched.Partial
 
 let c_runs = Noc_obs.Counters.counter "eas.rebuild.runs"
 
@@ -14,9 +13,7 @@ let run ?comm_model ?degraded platform ctg ~assignment ~rank =
       if pe < 0 || pe >= Noc_noc.Platform.n_pes platform then
         invalid_arg "Rebuild.run: PE out of range")
     assignment;
-  let state = Resource_state.create platform in
-  let placements = Array.make n None in
-  let transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None in
+  let partial = Partial.create platform ctg in
   let unscheduled_preds = Array.init n (fun i -> List.length (Noc_ctg.Ctg.preds ctg i)) in
   let module Ready = Set.Make (struct
     type t = int * int  (* rank, task *)
@@ -30,45 +27,14 @@ let run ?comm_model ?degraded platform ctg ~assignment ~rank =
   for _ = 1 to n do
     let ((_, i) as elt) = Ready.min_elt !ready in
     ready := Ready.remove elt !ready;
-    let k = assignment.(i) in
-    let pendings =
-      List.map
-        (fun (e : Noc_ctg.Edge.t) ->
-          match placements.(e.src) with
-          | None -> assert false
-          | Some (p : Schedule.placement) ->
-            {
-              Comm_sched.edge = e.id;
-              src_pe = p.pe;
-              sender_finish = p.finish;
-              bits = e.volume;
-            })
-        (Noc_ctg.Ctg.in_edges ctg i)
-    in
-    let placed, drt =
-      Comm_sched.schedule_incoming ?model:comm_model ?degraded state pendings ~dst_pe:k
-    in
-    let task = Noc_ctg.Ctg.task ctg i in
-    let exec_time = task.Noc_ctg.Task.exec_times.(k) in
-    let available =
-      match task.Noc_ctg.Task.release with
-      | None -> drt
-      | Some release -> Float.max drt release
-    in
-    let start = Resource_state.earliest_pe_gap state ~pe:k ~after:available ~duration:exec_time in
-    Resource_state.reserve_pe state ~pe:k
-      (Noc_util.Interval.make ~start ~stop:(start +. exec_time));
-    placements.(i) <- Some { Schedule.task = i; pe = k; start; finish = start +. exec_time };
-    List.iter (fun (tr : Schedule.transaction) -> transactions.(tr.edge) <- Some tr) placed;
+    Partial.commit ?model:comm_model ?degraded partial ctg i ~pe:assignment.(i);
     List.iter
       (fun j ->
         unscheduled_preds.(j) <- unscheduled_preds.(j) - 1;
         if unscheduled_preds.(j) = 0 then ready := Ready.add (rank.(j), j) !ready)
       (Noc_ctg.Ctg.succs ctg i)
   done;
-  Schedule.make
-    ~placements:(Array.map Option.get placements)
-    ~transactions:(Array.map Option.get transactions)
+  Partial.to_schedule partial
 
 let of_schedule schedule =
   let n = Schedule.n_tasks schedule in

@@ -5,9 +5,9 @@
     representation of a schedule: the task-to-PE assignment plus a total
     priority order. [run] re-derives the full timed schedule by list
     scheduling: at each step, among the ready tasks, the one with the
-    smallest rank is placed next — its receiving transactions through the
-    communication scheduler, its execution in the earliest gap of its
-    (fixed) PE. Swapping two ranks therefore swaps the execution order of
+    smallest rank is placed next through {!Noc_sched.Partial.commit} —
+    its receiving transactions through the communication scheduler, its
+    execution in the earliest gap of its (fixed) PE. Swapping two ranks therefore swaps the execution order of
     the corresponding tasks wherever dependencies allow it, and changing
     an assignment entry migrates a task; both exactly as Step 3 needs. *)
 

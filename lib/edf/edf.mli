@@ -10,21 +10,19 @@
     the ready task with the earliest effective deadline is scheduled on
     the PE where it finishes earliest — the classic performance-greedy,
     energy-oblivious policy. It uses the same contention-aware
-    communication machinery as EAS so the comparison isolates the
+    communication machinery as EAS — candidate finish times probed
+    read-only through {!Noc_eas.Kernel.finish_time}, the winner committed
+    through {!Noc_sched.Partial.commit} — so the comparison isolates the
     optimisation objective, exactly as the paper intends. *)
 
 val effective_deadlines : Noc_ctg.Ctg.t -> float array
 (** The propagated deadlines ([infinity] when unconstrained). *)
 
-type stats = { runtime_seconds : float; misses : int }
-
-type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
-
 val schedule :
   ?comm_model:Noc_sched.Comm_sched.model ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
-  outcome
+  Noc_sched.Schedule.t
 
 val name : string
 (** ["EDF"]. *)

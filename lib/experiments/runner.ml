@@ -36,7 +36,7 @@ let schedule_of ?comm_model ?kernel ?pinned ?jobs algo platform ctg =
   | Edf ->
     if pinned <> None then
       invalid_arg "Runner.schedule_of: EDF does not take a pinned mapping";
-    (Noc_edf.Edf.schedule ?comm_model platform ctg).schedule
+    Noc_edf.Edf.schedule ?comm_model platform ctg
 
 let resource_violations platform ctg schedule =
   Noc_sched.Validate.check platform ctg schedule

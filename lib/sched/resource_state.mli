@@ -1,12 +1,14 @@
 (** Mutable scheduling state: one schedule table per PE and per link.
 
-    EAS Step 2 repeatedly schedules communication transactions and task
-    executions {e tentatively} to evaluate [F(i,k)], then restores the
-    tables ("the schedule tables of both links and the PEs will be
-    restored every time a F(i,k) is calculated"). To make that cheap,
-    every reservation made through this module is journalled; a
-    {!mark} / {!rollback} pair undoes everything reserved in between in
-    O(reservations undone). *)
+    The tables only gain reservations while a schedule is built: every
+    list scheduler commits through {!Partial}, and candidate probes
+    query the tables read-only (see [Noc_eas.Kernel]). Each reservation
+    is still journalled, and a {!mark} / {!rollback} pair undoes
+    everything reserved in between in O(reservations undone). That pair
+    serves the reference level scheduler in the test tree, which
+    evaluates [F(i,k)] the paper's literal way ("the schedule tables of
+    both links and the PEs will be restored every time a F(i,k) is
+    calculated") as the oracle for the read-only probes. *)
 
 type t
 

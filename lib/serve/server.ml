@@ -608,13 +608,34 @@ let write_all fd s =
   in
   go 0
 
+(* A live daemon answers a connect on its socket; a leftover file from
+   a crashed one refuses it. Only the latter may be unlinked: taking
+   over a live daemon's path would leave it running but unreachable
+   once our own cleanup removed the file. *)
+let claim_socket path =
+  let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let live =
+    Fun.protect ~finally:(fun () -> Unix.close probe) @@ fun () ->
+    match Unix.connect probe (Unix.ADDR_UNIX path) with
+    | () -> true
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) -> false
+  in
+  if live then failwith ("a daemon is already listening on " ^ path);
+  try Unix.unlink path with Unix.Unix_error _ -> ()
+
 let run ?on_ready config =
   let state = make_state config in
-  (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
+  claim_socket config.socket_path;
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception Invalid_argument _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* Bind before installing the cleanup: a bind lost to a daemon that
+     started in between must not unlink that daemon's socket. *)
+  (try Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path)
+   with e ->
+     Unix.close listen_fd;
+     raise e);
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
   let close_conn fd =
     Hashtbl.remove conns fd;
@@ -627,7 +648,6 @@ let run ?on_ready config =
     try Unix.unlink config.socket_path with Unix.Unix_error _ -> ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
   Unix.listen listen_fd 64;
   Option.iter (fun f -> f ()) on_ready;
   Noc_obs.Log.infof "serve: listening on %s" config.socket_path;

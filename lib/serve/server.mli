@@ -58,9 +58,11 @@ val handle_line : state -> string -> string * bool
     replies. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
-(** Binds [socket_path] (unlinking any stale socket file first),
-    listens, serves until a [shutdown] request, then closes every
-    connection and removes the socket file. [on_ready] fires once the
-    socket is listening — tests and in-process benches use it instead
-    of polling. Raises [Unix.Unix_error] when the socket cannot be
-    bound. *)
+(** Binds [socket_path], listens, serves until a [shutdown] request,
+    then closes every connection and removes the socket file. A socket
+    file nobody accepts connections on is stale and replaced; when a
+    daemon is already listening on [socket_path], raises [Failure
+    "a daemon is already listening on <path>"] and leaves the file
+    alone. [on_ready] fires once the socket is listening — tests and
+    in-process benches use it instead of polling. Raises
+    [Unix.Unix_error] when the socket cannot be bound. *)

@@ -9,16 +9,13 @@
     search: [is_free] and [release] are O(log n), [earliest_gap] is
     O(log n + slots walked past), [reserve] is O(1) amortized for the
     scheduler's dominant append-at-end pattern and O(n) worst case for a
-    mid-table insert. Snapshots copy the live prefix (O(n)); the hot
-    tentative-[F(i,k)] path of EAS Step 2 instead undoes its reservations
-    through [Noc_sched.Resource_state]'s journal, which never snapshots.
-    Behavioural equivalence with the naive {!Timeline_reference} model is
-    enforced by qcheck differential tests over random operation traces. *)
+    mid-table insert. Tentative [F(i,k)] probes never write a timeline:
+    they query the shared tables read-only (see [Noc_eas.Kernel]).
+    Behavioural equivalence with the naive list model kept in the test
+    tree ([test/oracle/timeline_reference.ml]) is enforced by qcheck
+    differential tests over random operation traces. *)
 
 type t
-
-type snapshot
-(** Opaque capture of a timeline's state. *)
 
 val create : unit -> t
 (** An empty timeline. *)
@@ -50,12 +47,9 @@ val utilisation : t -> horizon:float -> float
 val span : t -> float
 (** Largest busy [stop] value, or [0.] when empty. *)
 
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-
 val version : t -> int
-(** Mutation counter: incremented by every state-changing {!reserve},
-    {!release} and {!restore} (no-ops on empty intervals do not count).
+(** Mutation counter: incremented by every state-changing {!reserve}
+    and {!release} (no-ops on empty intervals do not count).
     Two reads of an unchanged version bracket an unchanged busy set, so
     callers can memoize query results against a timeline and revalidate
     with one integer comparison — the EAS flat-array kernel keys its

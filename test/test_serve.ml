@@ -458,17 +458,15 @@ let test_concurrent_clients () =
     (Noc_sched.Metrics.compute platform g s).Noc_sched.Metrics.total_energy
   in
   let seeds_a = [ 10; 11; 12 ] and seeds_b = [ 13; 14; 15 ] in
+  (* The client domains only collect replies: Alcotest's checks print
+     through a formatter that is not safe to share across domains, so
+     every assertion runs on the main domain after the joins. *)
   let client_loop name seeds =
     Client.with_connection ~retries:100 ~socket_path (fun c ->
         List.map
           (fun seed ->
             let id = Printf.sprintf "%s-%d" name seed in
-            let reply = Client.request c (schedule_line ~id (graph seed)) in
-            let obj = parse_reply reply in
-            if not (is_ok obj) then Alcotest.failf "daemon refused: %s" reply;
-            Alcotest.(check string) "reply routed to the right request" id
-              (str_member "id" obj);
-            (seed, num_member "energy" obj))
+            (seed, id, Client.request c (schedule_line ~id (graph seed))))
           seeds)
   in
   (* Two clients in parallel domains, interleaving requests. *)
@@ -476,10 +474,14 @@ let test_concurrent_clients () =
   let db = Domain.spawn (fun () -> client_loop "b" seeds_b) in
   let ra = Domain.join da and rb = Domain.join db in
   List.iter
-    (fun (seed, energy) ->
+    (fun (seed, id, reply) ->
+      let obj = parse_reply reply in
+      if not (is_ok obj) then Alcotest.failf "daemon refused: %s" reply;
+      Alcotest.(check string) "reply routed to the right request" id
+        (str_member "id" obj);
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "energy for seed %d" seed)
-        (energy_of (graph seed)) energy)
+        (energy_of (graph seed)) (num_member "energy" obj))
     (ra @ rb);
   (* Clean shutdown through the protocol; the socket file disappears. *)
   let reply =
@@ -489,6 +491,78 @@ let test_concurrent_clients () =
   Alcotest.(check bool) "shutdown acknowledged" true (is_ok (parse_reply reply));
   Domain.join daemon;
   Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path)
+
+(* Starts a daemon on [socket_path] in its own domain and returns once
+   it listens. *)
+let spawn_daemon socket_path =
+  let ready = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Server.run
+          ~on_ready:(fun () -> Atomic.set ready true)
+          { Server.socket_path; capacity = 4; jobs = None })
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.002
+  done;
+  daemon
+
+let expect_stats socket_path =
+  let reply =
+    Client.one_shot ~retries:10 ~socket_path (Protocol.request_to_line Protocol.Stats)
+  in
+  Alcotest.(check bool) "stats answered" true (is_ok (parse_reply reply))
+
+let shutdown_daemon socket_path daemon =
+  let reply =
+    Client.one_shot ~retries:10 ~socket_path
+      (Protocol.request_to_line Protocol.Shutdown)
+  in
+  Alcotest.(check bool) "shutdown acknowledged" true (is_ok (parse_reply reply));
+  Domain.join daemon;
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path)
+
+let test_second_daemon_refused () =
+  let socket_path =
+    Printf.sprintf "%s/nocsched-test-serve-twice-%d.sock"
+      (Filename.get_temp_dir_name ()) (Unix.getpid ())
+  in
+  let daemon = spawn_daemon socket_path in
+  let expected = "a daemon is already listening on " ^ socket_path in
+  (match Server.run { Server.socket_path; capacity = 4; jobs = None } with
+  | () -> Alcotest.fail "second daemon started on a live socket"
+  | exception Failure msg -> Alcotest.(check string) "refusal" expected msg);
+  (* The CLI reports the same refusal and exits non-zero. *)
+  let err_file = Filename.temp_file "serve_twice" ".err" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove err_file with Sys_error _ -> ())
+    (fun () ->
+      let command =
+        Printf.sprintf "%s serve --socket %s >/dev/null 2>%s" binary
+          (Filename.quote socket_path) (Filename.quote err_file)
+      in
+      Alcotest.(check bool) "CLI exits non-zero" true (Sys.command command <> 0);
+      let err = In_channel.with_open_bin err_file In_channel.input_all in
+      Alcotest.(check string) "CLI message" ("nocsched: " ^ expected ^ "\n") err);
+  Alcotest.(check bool) "socket file kept" true (Sys.file_exists socket_path);
+  expect_stats socket_path;
+  shutdown_daemon socket_path daemon
+
+let test_stale_socket_replaced () =
+  let socket_path =
+    Printf.sprintf "%s/nocsched-test-serve-stale-%d.sock"
+      (Filename.get_temp_dir_name ()) (Unix.getpid ())
+  in
+  (* A socket file left behind by a daemon that died without cleanup:
+     bound, never listened on, closed without unlinking. *)
+  (try Sys.remove socket_path with Sys_error _ -> ());
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX socket_path);
+  Unix.close fd;
+  Alcotest.(check bool) "stale file present" true (Sys.file_exists socket_path);
+  let daemon = spawn_daemon socket_path in
+  expect_stats socket_path;
+  shutdown_daemon socket_path daemon
 
 (* A --dvfs request must never be answered from the unscaled cache (or
    vice versa): the V/f ladder is its own cache-key segment. *)
@@ -548,4 +622,7 @@ let suite =
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "dvfs never aliases the unscaled cache" `Quick
       test_dvfs_no_cache_aliasing;
+    Alcotest.test_case "second daemon refused, first still answers stats" `Quick
+      test_second_daemon_refused;
+    Alcotest.test_case "stale socket file replaced" `Quick test_stale_socket_replaced;
   ]

@@ -2,14 +2,14 @@
    Timeline_reference model.
 
    Random operation traces — reserve (possibly overlapping, possibly
-   empty), release of a live slot, gap queries, snapshot/rollback,
-   utilisation, span — are replayed against both implementations; every
-   observation must agree, including which reserves raise. Values are
-   drawn from a small integer grid so collisions, touching intervals and
-   exact-duration fits all occur constantly. *)
+   empty), release of a live slot, gap queries, utilisation, span — are
+   replayed against both implementations; every observation must agree,
+   including which reserves raise. Values are drawn from a small integer
+   grid so collisions, touching intervals and exact-duration fits all
+   occur constantly. *)
 
 module Timeline = Noc_util.Timeline
-module Reference = Noc_util.Timeline_reference
+module Reference = Noc_oracle.Timeline_reference
 module Interval = Noc_util.Interval
 
 type op =
@@ -17,8 +17,6 @@ type op =
   | Release_nth of int (* index into the live busy list, mod its size *)
   | Gap of int * int (* after, duration *)
   | Is_free of int * int
-  | Snapshot
-  | Restore
   | Utilisation of int (* horizon - 1 *)
   | Span
 
@@ -30,8 +28,6 @@ let op_gen =
         (2, map (fun i -> Release_nth i) (int_bound 1000));
         (4, map2 (fun a d -> Gap (a, d)) (int_bound 70) (int_bound 8));
         (2, map2 (fun a d -> Is_free (a, d)) (int_bound 70) (int_bound 8));
-        (1, return Snapshot);
-        (1, return Restore);
         (1, map (fun h -> Utilisation h) (int_bound 80));
         (1, return Span);
       ])
@@ -41,8 +37,6 @@ let pp_op = function
   | Release_nth i -> Printf.sprintf "Release_nth(%d)" i
   | Gap (a, d) -> Printf.sprintf "Gap(%d,%d)" a d
   | Is_free (a, d) -> Printf.sprintf "Is_free(%d,%d)" a d
-  | Snapshot -> "Snapshot"
-  | Restore -> "Restore"
   | Utilisation h -> Printf.sprintf "Utilisation(%d)" h
   | Span -> "Span"
 
@@ -61,7 +55,6 @@ let same_busy tl rf =
    at the first disagreement. *)
 let agree ops =
   let tl = Timeline.create () and rf = Reference.create () in
-  let snap = ref None in
   let ok = ref true in
   List.iter
     (fun op ->
@@ -100,13 +93,6 @@ let agree ops =
           let interval = iv (float_of_int a) (float_of_int (a + d)) in
           if Timeline.is_free tl interval <> Reference.is_free rf interval then
             ok := false
-        | Snapshot -> snap := Some (Timeline.snapshot tl, Reference.snapshot rf)
-        | Restore ->
-          (match !snap with
-          | None -> ()
-          | Some (st, sr) ->
-            Timeline.restore tl st;
-            Reference.restore rf sr)
         | Utilisation h ->
           let horizon = float_of_int (h + 1) in
           if
