@@ -7,17 +7,7 @@ type stats = {
 
 type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
 
-let count_misses ctg schedule =
-  Array.fold_left
-    (fun acc (task : Noc_ctg.Task.t) ->
-      match task.deadline with
-      | None -> acc
-      | Some d ->
-        if (Noc_sched.Schedule.placement schedule task.id).Noc_sched.Schedule.finish
-           > d +. 1e-9
-        then acc + 1
-        else acc)
-    0 (Noc_ctg.Ctg.tasks ctg)
+let count_misses ctg schedule = fst (Repair.score ctg schedule)
 
 let schedule ?(repair = true) ?comm_model ?degraded ?weighting ?kernel ?pinned
     ?jobs platform ctg =

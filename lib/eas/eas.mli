@@ -46,7 +46,9 @@ val schedule :
     Eq.-3 energy — is preserved end to end. *)
 
 val count_misses : Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> int
-(** Number of tasks whose scheduled finish exceeds their deadline. *)
+(** Number of tasks that miss their deadline by more than 1e-9:
+    [fst (Repair.score ctg schedule)], the same predicate the repair
+    search and {!Fault_resched} score with. *)
 
 val name : repair:bool -> string
 (** ["EAS"] or ["EAS-base"], as the paper labels the configurations. *)

@@ -16,7 +16,22 @@
       task), so the cheapest repair is found first.
 
     After a successful migration the procedure re-enters LTS mode, as in
-    the paper's flow chart. *)
+    the paper's flow chart.
+
+    {b Incremental candidates.} A candidate differs from the current
+    [(assignment, rank)] in one task's PE (GTM) or two tasks' ranks
+    (LTS). The current list schedule is recorded once per accepted move
+    ({!Rebuild.base}); each candidate rolls the resource tables back to
+    the first step it can change and replays only the suffix
+    ({!Rebuild.replay}). It stops early once its committed misses
+    exceed the best count, or equal it with a committed lateness that,
+    shrunk by a relative [(k + 2) * epsilon_float] for the [k] deadline
+    tasks, is still no better than the best by 1e-6: the shrink covers
+    the difference between summing in commit order and {!score}'s
+    id-order fold, so no candidate that {!improves} is ever stopped. A
+    candidate that completes is scored with {!score}. Results and
+    {!stats} are bit-identical to rebuilding every candidate from
+    scratch (the reference kept in the test tree). *)
 
 type moves =
   | Both  (** The paper's procedure: LTS first, GTM when LTS is stuck. *)
@@ -26,8 +41,20 @@ type moves =
 type stats = {
   accepted_swaps : int;
   accepted_migrations : int;
-  evaluations : int;  (** Schedules rebuilt (accepted or not). *)
+  evaluations : int;
+      (** Candidates scored, accepted or not, stopped early or not;
+          [max_evaluations] bounds it. *)
 }
+
+val score : Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> int * float
+(** The search score: the number of tasks that miss their deadline by
+    more than 1e-9 ({!Rebuild.lateness}) and their total lateness,
+    summed in task-id order. The one deadline-miss count of EAS:
+    {!Eas.count_misses} and {!Fault_resched} use it too. *)
+
+val improves : int * float -> int * float -> bool
+(** [improves candidate best]: fewer misses, or as many with a total
+    lateness lower by more than 1e-6. *)
 
 val critical_tasks : Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> bool array
 (** [critical_tasks ctg s] marks every task that misses its own deadline

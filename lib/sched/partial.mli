@@ -8,8 +8,10 @@
     rebuilds and the EDF, DLS and energy-greedy baselines all commit
     through {!commit}, so they share the communication machinery the
     paper's comparison relies on; only their choice of task and PE
-    differs. Candidate probes stay read-only (see [Noc_eas.Kernel]):
-    nothing here undoes a reservation. *)
+    differs. Candidate probes stay read-only (see [Noc_eas.Kernel]).
+    Nothing here undoes a reservation; the repair search's replays roll
+    the tables back through {!Resource_state.rollback} and re-commit
+    over the stale placements (see [Noc_eas.Rebuild.replay]). *)
 
 type t
 
@@ -17,7 +19,8 @@ val create : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> t
 (** Empty resource tables and no task placed yet. *)
 
 val state : t -> Resource_state.t
-(** The link and PE tables, for read-only probes. *)
+(** The link and PE tables, for read-only probes and for
+    {!Resource_state.mark}/{!Resource_state.rollback}. *)
 
 val placement : t -> int -> Schedule.placement option
 (** The placement of a task, once committed. *)

@@ -1,14 +1,19 @@
 (** Mutable scheduling state: one schedule table per PE and per link.
 
-    The tables only gain reservations while a schedule is built: every
-    list scheduler commits through {!Partial}, and candidate probes
-    query the tables read-only (see [Noc_eas.Kernel]). Each reservation
-    is still journalled, and a {!mark} / {!rollback} pair undoes
-    everything reserved in between in O(reservations undone). That pair
-    serves the reference level scheduler in the test tree, which
-    evaluates [F(i,k)] the paper's literal way ("the schedule tables of
-    both links and the PEs will be restored every time a F(i,k) is
-    calculated") as the oracle for the read-only probes. *)
+    Every list scheduler commits through {!Partial}, and candidate
+    probes query the tables read-only (see [Noc_eas.Kernel]). Each
+    reservation is journalled, and a {!mark} / {!rollback} pair undoes
+    everything reserved in between in O(reservations undone), restoring
+    the tables exactly (timelines keep reservations uncoalesced). The
+    pair serves two callers:
+    - the repair search's prefix reuse ([Noc_eas.Rebuild.replay]): a
+      mark before every step of the recorded base schedule, so each
+      candidate rolls back to the first step it can change and replays
+      only the rest;
+    - the reference level scheduler in the test tree, which evaluates
+      [F(i,k)] the paper's literal way ("the schedule tables of both
+      links and the PEs will be restored every time a F(i,k) is
+      calculated") as the oracle for the read-only probes. *)
 
 type t
 
@@ -35,4 +40,6 @@ type mark
 val mark : t -> mark
 val rollback : t -> mark -> unit
 (** [rollback t m] releases every reservation made since [mark t]
-    returned [m]. Marks must be rolled back innermost-first. *)
+    returned [m]. Marks must be rolled back innermost-first: a rollback
+    invalidates every mark taken after [m], and rolling back to one
+    raises [Invalid_argument]. *)

@@ -133,6 +133,23 @@ let test_rebuild_validates_input () =
 (* ------------------------------------------------------------------ *)
 (* Repair *)
 
+(* A finish 1e-9 past the deadline plus one rounding step: [finish >
+   d +. 1e-9] says on time, [finish -. d > 1e-9] says late. EAS must
+   count it the one way the repair search scores it. *)
+let test_one_miss_predicate () =
+  let deadline = 90.30473961814884 and finish = 90.30473961914885 in
+  let task =
+    Noc_ctg.Task.make ~id:0 ~exec_times:[| finish |] ~energies:[| 1. |] ~deadline ()
+  in
+  let ctg = Noc_ctg.Ctg.make_exn ~tasks:[| task |] ~edges:[||] in
+  let schedule =
+    Schedule.make
+      ~placements:[| { Schedule.task = 0; pe = 0; start = 0.; finish } |]
+      ~transactions:[||]
+  in
+  Alcotest.(check int) "repair scores a miss" 1 (fst (Repair.score ctg schedule));
+  Alcotest.(check int) "EAS counts the same miss" 1 (Eas.count_misses ctg schedule)
+
 let test_critical_tasks_marking () =
   (* Chain 0 -> 1 where 1 misses: both are critical (ancestors marked). *)
   let b = Builder.create ~n_pes:2 in
@@ -255,6 +272,7 @@ let suite =
     Alcotest.test_case "configuration names" `Quick test_names;
     Alcotest.test_case "rebuild roundtrip" `Quick test_rebuild_roundtrip;
     Alcotest.test_case "rebuild validates input" `Quick test_rebuild_validates_input;
+    Alcotest.test_case "one deadline-miss predicate" `Quick test_one_miss_predicate;
     Alcotest.test_case "critical task marking" `Quick test_critical_tasks_marking;
     Alcotest.test_case "repair fixes misses" `Slow test_repair_fixes_misses;
     Alcotest.test_case "repair no-op when clean" `Quick test_repair_noop_on_clean_schedule;
