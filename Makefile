@@ -86,8 +86,10 @@ bench-dvfs:
 	dune exec bench/main.exe -- dvfs
 
 # End-to-end daemon smoke: start `nocsched serve` on a private socket,
-# run a schedule and an incremental reschedule through the client, ask
-# for a clean shutdown, and require every reply to be ok. The built
+# run a schedule and an incremental reschedule through the client,
+# require a graph sent with a mismatched mesh to come back as an error
+# reply (client exit 1) at once, ask for a clean shutdown, and require
+# every other reply to be ok. The built
 # binary is used directly (dune exec would contend for the build lock
 # with the backgrounded daemon), and the client retries the connect
 # 50 ms apart, so no sleep is needed after the daemon starts.
@@ -102,6 +104,8 @@ serve-smoke: build
 	$$BIN serve --socket $$SOCK --call schedule --input examples/pipeline_4x4.ctg; \
 	$$BIN serve --socket $$SOCK --call reschedule \
 	  --input examples/pipeline_4x4.ctg --fault pe:1; \
+	$$BIN serve --socket $$SOCK --call schedule --mesh 64x64 \
+	  --input examples/pipeline_4x4.ctg && exit 1 || [ $$? -eq 1 ]; \
 	$$BIN serve --socket $$SOCK --call shutdown; \
 	wait $$DAEMON; \
 	echo "serve-smoke: ok"
@@ -136,16 +140,22 @@ analyze-adaptive: build
 	dune exec bin/nocsched.exe -- analyze --platform --mesh 8x8 --routing odd-even || [ $$? -eq 1 ]
 	dune exec bin/nocsched.exe -- schedule --benchmark tgff:1 --tasks 20 --routing west-first
 
-# The full gate CI runs: build, the complete test suite, the static
-# analysis sweeps (deterministic and adaptive routing), the trace and
-# daemon smokes, then the persisted bench gates (timeline regression,
+# The full gate CI runs: build, the complete test suite (also on two-
+# and four-domain pools), the static analysis sweeps (deterministic and
+# adaptive routing), the trace and daemon smokes, the examples, the
+# quick benchmarks, then the persisted bench gates (timeline regression,
 # parallel-execution determinism/speedup, the observability
 # overhead/determinism gate, the scheduling-service latency gate, the
 # turn-model routing gate, the mapping-search delta-eval/Pareto gate,
 # the DVFS slack-reclamation gate, and the fault-campaign survivability
-# table written to BENCH_faults.json).
-verify: build test analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-routing bench-mapping bench-dvfs
+# table written to BENCH_faults.json), the check that BENCH_faults.json
+# and BENCH_dvfs.json regenerate unchanged, and the perfbench smoke.
+verify: build test analyze analyze-adaptive trace-smoke serve-smoke examples quick-bench bench-json bench-parallel bench-obs bench-serve bench-routing bench-mapping bench-dvfs
+	NOCSCHED_JOBS=2 dune runtest --force
+	NOCSCHED_JOBS=4 dune runtest --force
 	dune exec bench/main.exe -- faults
+	git diff --exit-code BENCH_faults.json BENCH_dvfs.json
+	python3 perfbench/test/smoke.py
 
 examples:
 	dune exec examples/quickstart.exe

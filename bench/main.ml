@@ -380,7 +380,7 @@ module Parallel_bench = struct
       Buffer.add_string buf
         (Printf.sprintf
            "%s total=%h comp=%h comm=%h mk=%h hops=%h miss=%d rv=%d; "
-           (Noc_experiments.Runner.algo_name e.Noc_experiments.Runner.algo)
+           (Noc_pipeline.Pipeline.algo_name e.Noc_experiments.Runner.algo)
            m.Noc_sched.Metrics.total_energy m.Noc_sched.Metrics.computation_energy
            m.Noc_sched.Metrics.communication_energy m.Noc_sched.Metrics.makespan
            m.Noc_sched.Metrics.average_hops
@@ -1122,8 +1122,10 @@ module Mapping_bench = struct
         r.chain_results,
       List.map
         (fun (c : Search.candidate) ->
-          ( Search.origin_name c.origin, c.static_value, c.energy, c.makespan,
-            c.misses, Array.to_list c.mapping ))
+          ( Search.origin_name c.origin, c.static_value,
+            c.metrics.Noc_sched.Metrics.total_energy,
+            c.metrics.Noc_sched.Metrics.makespan,
+            Noc_sched.Metrics.miss_count c.metrics, Array.to_list c.mapping ))
         r.candidates,
       Array.to_list r.winner.mapping )
 

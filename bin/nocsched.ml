@@ -8,22 +8,28 @@
      experiment  regenerate one of the paper's tables/figures *)
 
 open Cmdliner
+module Pipeline = Noc_pipeline.Pipeline
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing.                                            *)
 
+(* A converter from a [string -> (_, string) result] parser. --mesh and
+   --algo use the serve protocol's parsers, so both front ends accept
+   the same values with the same messages. *)
+let conv_of parse print =
+  Arg.conv ((fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)), print)
+
 let mesh_conv =
-  let parse s =
-    match String.split_on_char 'x' (String.lowercase_ascii s) with
-    | [ c; r ] -> (
-      match (int_of_string_opt c, int_of_string_opt r) with
-      | Some cols, Some rows when cols > 0 && rows > 0 -> Ok (cols, rows)
-      | Some _, Some _ | None, Some _ | Some _, None | None, None ->
-        Error (`Msg "mesh must be COLSxROWS with positive integers"))
-    | _ :: _ | [] -> Error (`Msg "mesh must look like 4x4")
-  in
-  let print ppf (c, r) = Format.fprintf ppf "%dx%d" c r in
-  Arg.conv (parse, print)
+  conv_of Pipeline.mesh_of_string (fun ppf m ->
+      Format.pp_print_string ppf (Pipeline.mesh_name m))
+
+let pos_int_conv =
+  conv_of
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None -> Error (Printf.sprintf "%S is not a positive integer" s))
+    Format.pp_print_int
 
 let mesh_arg =
   Arg.(value & opt mesh_conv (4, 4) & info [ "mesh" ] ~docv:"CxR"
@@ -33,13 +39,7 @@ let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED"
          ~doc:"Random seed (generation is deterministic per seed).")
 
-let routing_conv =
-  let parse s =
-    match Noc_noc.Turn_model.of_string s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Noc_noc.Turn_model.pp)
+let routing_conv = conv_of Noc_noc.Turn_model.of_string Noc_noc.Turn_model.pp
 
 let routing_arg =
   Arg.(value & opt routing_conv Noc_noc.Turn_model.Xy
@@ -107,27 +107,25 @@ let bench_arg =
          ~doc:"Benchmark: tgff:SEED or {encoder|decoder|integrated}:CLIP.")
 
 let algo_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "eas" -> Ok Noc_experiments.Runner.Eas
-    | "eas-base" -> Ok Noc_experiments.Runner.Eas_base
-    | "edf" -> Ok Noc_experiments.Runner.Edf
-    | _ -> Error (`Msg "algorithm must be eas, eas-base or edf")
-  in
-  let print ppf a = Format.pp_print_string ppf (Noc_experiments.Runner.algo_name a) in
-  Arg.conv (parse, print)
+  conv_of Pipeline.algo_of_string (fun ppf a ->
+      Format.pp_print_string ppf (Pipeline.algo_name a))
 
 let algo_arg =
-  Arg.(value & opt algo_conv Noc_experiments.Runner.Eas
+  Arg.(value & opt algo_conv Pipeline.Eas
        & info [ "algo" ] ~docv:"ALGO" ~doc:"Scheduler: eas, eas-base or edf.")
 
-let vf_conv =
-  let parse s =
-    match Noc_dvfs.Vf_table.of_string s with
-    | Ok t -> Ok t
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Noc_dvfs.Vf_table.pp)
+let vf_conv = conv_of Noc_dvfs.Vf_table.of_string Noc_dvfs.Vf_table.pp
+
+(* --vf-levels needs --dvfs, which defaults the ladder. *)
+let vf_of_flags ~dvfs levels =
+  match
+    Pipeline.vf_ladder ~dvfs ~unpaired:"--vf-levels only makes sense with --dvfs" levels
+  with
+  | Ok vf -> vf
+  | Error msg -> failwith msg
+
+let jobs_arg ~doc =
+  Arg.(value & opt (some pos_int_conv) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* CTG inputs accept "-" for stdin everywhere a path is taken, so
    graphs can be piped: `nocsched generate ... | nocsched schedule -`. *)
@@ -143,22 +141,57 @@ let load_ctg path =
   | Error msg -> failwith (label ^ ": " ^ msg)
   | Ok ctg -> ctg
 
-let platform_for_ctg ~mesh ~routing ctg =
-  let platform = Noc_experiments.Pipeline.mesh_platform ~routing mesh in
-  if Noc_ctg.Ctg.n_pes ctg <> Noc_noc.Platform.n_pes platform then
-    failwith "graph PE count does not match --mesh";
-  platform
+(* The problem every scheduling command starts from: a built-in
+   benchmark, or a graph file scheduled on the --mesh platform. *)
+type problem = {
+  bench : bench_spec;
+  mesh : int * int;
+  tasks : int;
+  tightness : float;
+  routing : Noc_noc.Turn_model.t;
+  input : string option;
+}
 
-let platform_and_ctg spec ~mesh ~tasks ~tightness ~routing =
-  match spec with
-  | Tgff seed ->
-    let platform = Noc_experiments.Pipeline.mesh_platform ~routing mesh in
+(* [verb] words the input's help ("Schedule a graph loaded from FILE");
+   [positional] also takes the graph as the first positional argument. *)
+let problem_term ?(input_flags = [ "input"; "i" ]) ?(positional = false) ~verb () =
+  let input_arg =
+    Arg.(value & opt (some string) None
+         & info input_flags ~docv:"FILE"
+             ~doc:(verb ^ " a graph loaded from FILE (text format; $(b,-) reads \
+                           stdin) instead of a built-in benchmark; the platform \
+                           still comes from $(b,--mesh)."))
+  in
+  let file_arg =
+    if not positional then Term.const None
+    else
+      Arg.(value & pos 0 (some string) None
+           & info [] ~docv:"FILE"
+               ~doc:("Task-graph file to " ^ String.lowercase_ascii verb
+                    ^ " (text format; $(b,-) reads stdin); shorthand for \
+                       $(b,--input) FILE."))
+  in
+  let make bench mesh tasks tightness routing input file =
+    let input = match file with Some _ -> file | None -> input in
+    { bench; mesh; tasks; tightness; routing; input }
+  in
+  Term.(const make $ bench_arg $ mesh_arg $ tasks_arg $ tightness_arg $ routing_arg
+        $ input_arg $ file_arg)
+
+let load_problem p =
+  match (p.input, p.bench) with
+  | Some path, _ ->
+    let ctg = load_ctg path in
+    Result.iter_error failwith (Pipeline.check_fits p.mesh ctg);
+    (Pipeline.mesh_platform ~routing:p.routing p.mesh, ctg)
+  | None, Tgff seed ->
+    let platform = Pipeline.mesh_platform ~routing:p.routing p.mesh in
     let params =
-      { Noc_tgff.Params.default with n_tasks = tasks; deadline_tightness = tightness }
+      { Noc_tgff.Params.default with n_tasks = p.tasks; deadline_tightness = p.tightness }
     in
     (platform, Noc_tgff.Generate.generate ~params ~platform ~seed)
-  | Msb (which, clip) ->
-    if routing <> Noc_noc.Turn_model.Xy then
+  | None, Msb (which, clip) ->
+    if p.routing <> Noc_noc.Turn_model.Xy then
       failwith "--routing applies to the generated mesh platforms; the MSB \
                 benchmark platforms are fixed (xy)";
     ( Noc_experiments.Msb_tables.platform_of which,
@@ -270,7 +303,7 @@ let generate_cmd =
                    $(b,schedule -)).")
   in
   let run seed tasks tightness mesh dot output =
-    let platform = Noc_experiments.Pipeline.mesh_platform mesh in
+    let platform = Pipeline.mesh_platform mesh in
     let params =
       { Noc_tgff.Params.default with n_tasks = tasks; deadline_tightness = tightness }
     in
@@ -307,13 +340,6 @@ let schedule_cmd =
   let gantt_arg =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Draw an ASCII Gantt chart.")
   in
-  let input_arg =
-    Arg.(value & opt (some string) None
-         & info [ "input"; "i" ] ~docv:"FILE"
-             ~doc:"Schedule a graph loaded from FILE (text format; $(b,-) reads \
-                   stdin) instead of a built-in benchmark; the platform still \
-                   comes from $(b,--mesh).")
-  in
   let save_arg =
     Arg.(value & opt (some string) None
          & info [ "save-schedule" ] ~docv:"FILE"
@@ -327,17 +353,10 @@ let schedule_cmd =
     Arg.(value & opt (some string) None
          & info [ "svg" ] ~docv:"FILE" ~doc:"Render the schedule as an SVG Gantt chart.")
   in
-  let file_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"FILE"
-             ~doc:"Task-graph file to schedule (text format; $(b,-) reads stdin); \
-                   shorthand for $(b,--input) FILE.")
-  in
   let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Fan the EAS candidate evaluations out over N domains. The \
-                   schedule is bit-identical at every job count.")
+    jobs_arg
+      ~doc:"Fan the EAS candidate evaluations out over N domains. The schedule \
+            is bit-identical at every job count."
   in
   let map_search_arg =
     Arg.(value & flag
@@ -364,27 +383,15 @@ let schedule_cmd =
                    e.g. $(b,1,0.8,0.6,0.5) (the default). Must include 1; \
                    needs $(b,--dvfs).")
   in
-  let run spec algo mesh tasks tightness routing gantt input save utilization svg
-      file jobs map_search dvfs vf_levels obs =
+  let run problem algo gantt save utilization svg jobs map_search dvfs vf_levels obs =
     with_obs obs @@ fun () ->
-    (match jobs with
-    | Some n when n < 1 -> failwith "--jobs must be at least 1"
-    | Some _ | None -> ());
-    if vf_levels <> None && not dvfs then
-      failwith "--vf-levels only makes sense with --dvfs";
-    let input = match file with Some _ -> file | None -> input in
-    let platform, ctg =
-      match input with
-      | None -> platform_and_ctg spec ~mesh ~tasks ~tightness ~routing
-      | Some path ->
-        let ctg = load_ctg path in
-        (platform_for_ctg ~mesh ~routing ctg, ctg)
-    in
+    let vf = vf_of_flags ~dvfs vf_levels in
+    let platform, ctg = load_problem problem in
     (* One kernel serves the mapping search and the pinned schedule. *)
     let kernel, pinned =
       if not map_search then (None, None)
       else begin
-        if algo = Noc_experiments.Runner.Edf then
+        if algo = Pipeline.Edf then
           failwith "--map-search needs a placement-aware scheduler (eas or eas-base)";
         let kernel =
           Noc_obs.Trace.span ~cat:"map" "map/kernel" (fun () ->
@@ -403,16 +410,12 @@ let schedule_cmd =
        stay those of the unscaled base. One scheduler run serves
        metrics, outputs and the decision log alike — a second run would
        duplicate every --decisions record and double the wall time. *)
-    let vf =
-      if dvfs then Some (Option.value ~default:Noc_dvfs.Vf_table.default vf_levels)
-      else None
-    in
     let ({ schedule; runtime_seconds; metrics; diagnostics; dvfs = dvfs_result }
-          : Noc_experiments.Pipeline.result) =
-      Noc_experiments.Pipeline.run ?kernel ?pinned ?jobs ?vf algo platform ctg
+          : Pipeline.result) =
+      Pipeline.run ?kernel ?pinned ?jobs ?vf algo platform ctg
     in
     Format.printf "%s on %a / %a@."
-      (Noc_experiments.Runner.algo_name algo)
+      (Pipeline.algo_name algo)
       Noc_noc.Platform.pp platform Noc_ctg.Ctg.pp ctg;
     Format.printf "%a@." Noc_sched.Metrics.pp metrics;
     Noc_obs.Log.infof "scheduler runtime: %.3f s" runtime_seconds;
@@ -422,7 +425,7 @@ let schedule_cmd =
     if resource_violations > 0 then
       Noc_obs.Log.warnf "%d resource violations" resource_violations;
     Option.iter
-      (fun (d : Noc_experiments.Pipeline.dvfs) ->
+      (fun (d : Pipeline.dvfs) ->
         let r = d.reclaim in
         let before = r.Noc_dvfs.Reclaim.computation_energy_before in
         let after = r.Noc_dvfs.Reclaim.computation_energy_after in
@@ -465,7 +468,7 @@ let schedule_cmd =
     if gantt then print_string (Noc_sched.Gantt.render platform ctg schedule);
     report_certification ~label:"schedule" diagnostics;
     Option.iter
-      (fun (d : Noc_experiments.Pipeline.dvfs) ->
+      (fun (d : Pipeline.dvfs) ->
         report_certification ~label:"dvfs schedule" d.scaled_diagnostics)
       dvfs_result;
     Ok ()
@@ -473,30 +476,16 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Schedule a benchmark and print its metrics.")
     Term.(term_result
-            (const run $ bench_arg $ algo_arg $ mesh_arg $ tasks_arg $ tightness_arg
-             $ routing_arg $ gantt_arg $ input_arg $ save_arg $ utilization_arg
-             $ svg_arg $ file_arg $ jobs_arg $ map_search_arg $ dvfs_arg
-             $ vf_levels_arg $ obs_term))
+            (const run $ problem_term ~positional:true ~verb:"Schedule" () $ algo_arg
+             $ gantt_arg $ save_arg $ utilization_arg $ svg_arg $ jobs_arg
+             $ map_search_arg $ dvfs_arg $ vf_levels_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* map                                                                 *)
 
 let map_cmd =
-  let input_arg =
-    Arg.(value & opt (some string) None
-         & info [ "input"; "i" ] ~docv:"FILE"
-             ~doc:"Map a graph loaded from FILE (text format; $(b,-) reads \
-                   stdin) instead of a built-in benchmark; the platform still \
-                   comes from $(b,--mesh).")
-  in
-  let file_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"FILE"
-             ~doc:"Task-graph file to map (text format; $(b,-) reads stdin); \
-                   shorthand for $(b,--input) FILE.")
-  in
   let chains_arg =
-    Arg.(value & opt int Noc_map.Search.default_params.Noc_map.Search.chains
+    Arg.(value & opt pos_int_conv Noc_map.Search.default_params.Noc_map.Search.chains
          & info [ "chains" ] ~docv:"K"
              ~doc:"Independent annealing chains (chain 0 starts from the \
                    identity mapping).")
@@ -506,7 +495,8 @@ let map_cmd =
          & info [ "iters" ] ~docv:"N" ~doc:"Proposals per chain.")
   in
   let survivors_arg =
-    Arg.(value & opt int Noc_map.Search.default_params.Noc_map.Search.survivors
+    Arg.(value & opt pos_int_conv
+           Noc_map.Search.default_params.Noc_map.Search.survivors
          & info [ "survivors" ] ~docv:"K"
              ~doc:"Best static mappings given a full pinned-EAS schedule and \
                    certification pass.")
@@ -530,10 +520,9 @@ let map_cmd =
                    plus router hops).")
   in
   let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Fan the chains out over N domains. Results are bit-identical \
-                   at every job count.")
+    jobs_arg
+      ~doc:"Fan the chains out over N domains. Results are bit-identical at every \
+            job count."
   in
   let save_arg =
     Arg.(value & opt (some string) None
@@ -541,24 +530,11 @@ let map_cmd =
              ~doc:"Write the winner's pinned-EAS schedule in the library's \
                    text format.")
   in
-  let run spec mesh tasks tightness routing input file chains iters survivors
-      sa_seed balance latency jobs save obs =
+  let run problem chains iters survivors sa_seed balance latency jobs save obs =
     with_obs obs @@ fun () ->
-    (match jobs with
-    | Some n when n < 1 -> failwith "--jobs must be at least 1"
-    | Some _ | None -> ());
-    if chains < 1 then failwith "--chains must be at least 1";
     if iters < 0 then failwith "--iters must be non-negative";
-    if survivors < 1 then failwith "--survivors must be at least 1";
     if balance < 0. || latency < 0. then failwith "weights must be non-negative";
-    let input = match file with Some _ -> file | None -> input in
-    let platform, ctg =
-      match input with
-      | None -> platform_and_ctg spec ~mesh ~tasks ~tightness ~routing
-      | Some path ->
-        let ctg = load_ctg path in
-        (platform_for_ctg ~mesh ~routing ctg, ctg)
-    in
+    let platform, ctg = load_problem problem in
     (* The balance knob is given in mean-exec-energy units so the same
        setting means the same pressure on every platform; lifting the
        tables here (instead of inside [run]) converts it once. *)
@@ -580,27 +556,22 @@ let map_cmd =
     Format.printf "winner %s on %a / %a@."
       (Noc_map.Search.origin_name winner.origin)
       Noc_noc.Platform.pp platform Noc_ctg.Ctg.pp ctg;
-    let metrics = Noc_sched.Metrics.compute platform ctg winner.schedule in
-    Format.printf "%a@." Noc_sched.Metrics.pp metrics;
+    Format.printf "%a@." Noc_sched.Metrics.pp winner.metrics;
     Option.iter
       (fun path ->
         Noc_sched.Schedule_io.save ~path winner.schedule;
         Noc_obs.Log.infof "wrote schedule %s" path)
       save;
-    report_certification ~label:"map winner"
-      (Noc_analysis.Certify.check
-         ~claimed_energy:metrics.Noc_sched.Metrics.total_energy platform ctg
-         winner.schedule);
+    report_certification ~label:"map winner" winner.diagnostics;
     Ok ()
   in
   Cmd.v
     (Cmd.info "map"
        ~doc:"Anneal a task-to-tile mapping and print the Pareto candidates.")
     Term.(term_result
-            (const run $ bench_arg $ mesh_arg $ tasks_arg $ tightness_arg
-             $ routing_arg $ input_arg $ file_arg $ chains_arg $ iters_arg
-             $ survivors_arg $ sa_seed_arg $ balance_arg $ latency_arg $ jobs_arg
-             $ save_arg $ obs_term))
+            (const run $ problem_term ~positional:true ~verb:"Map" () $ chains_arg
+             $ iters_arg $ survivors_arg $ sa_seed_arg $ balance_arg $ latency_arg
+             $ jobs_arg $ save_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
@@ -609,13 +580,6 @@ let simulate_cmd =
   let self_timed_arg =
     Arg.(value & flag & info [ "self-timed" ]
            ~doc:"Use work-conserving dispatch instead of the tabled times.")
-  in
-  let input_arg =
-    Arg.(value & opt (some string) None
-         & info [ "input"; "i" ] ~docv:"FILE"
-             ~doc:"Simulate a graph loaded from FILE (text format; $(b,-) reads \
-                   stdin) instead of a built-in benchmark; the platform still \
-                   comes from $(b,--mesh).")
   in
   let fault_arg =
     Arg.(value & opt_all string []
@@ -644,18 +608,11 @@ let simulate_cmd =
     Format.printf "%s: %d deadline misses, %d lost tasks, blocked %.1f@." label misses
       lost outcome.Noc_sim.Executor.waiting_time
   in
-  let run spec algo mesh tasks tightness routing input self_timed fault_specs
-      reschedule criticality obs =
+  let run problem algo self_timed fault_specs reschedule criticality obs =
     with_obs obs @@ fun () ->
-    let platform, ctg =
-      match input with
-      | None -> platform_and_ctg spec ~mesh ~tasks ~tightness ~routing
-      | Some path ->
-        let ctg = load_ctg path in
-        (platform_for_ctg ~mesh ~routing ctg, ctg)
-    in
-    let ({ schedule; metrics = planned; diagnostics; _ } : Noc_experiments.Pipeline.result) =
-      Noc_experiments.Pipeline.run algo platform ctg
+    let platform, ctg = load_problem problem in
+    let ({ schedule; metrics = planned; diagnostics; _ } : Pipeline.result) =
+      Pipeline.run algo platform ctg
     in
     let discipline =
       if self_timed then Noc_sim.Executor.Self_timed else Noc_sim.Executor.Time_triggered
@@ -677,7 +634,9 @@ let simulate_cmd =
         Format.printf "faults  : %a@." Noc_fault.Fault_set.pp faults;
         report "naive replay" outcome;
         if reschedule then begin
-          let resched = Noc_eas.Fault_resched.run platform ctg ~faults schedule in
+          let resched, resched_diagnostics =
+            Pipeline.reschedule platform ctg ~faults schedule
+          in
           let stats = resched.Noc_eas.Fault_resched.stats in
           Format.printf
             "rescheduled: %d tasks migrated, %d transactions rerouted%s@."
@@ -688,11 +647,7 @@ let simulate_cmd =
           report "rescheduled replay"
             (Noc_sim.Executor.run ~discipline ~faults platform ctg
                resched.Noc_eas.Fault_resched.schedule);
-          (* Detour routes legitimately diverge from the deterministic-route
-             energy of Metrics, so no claimed energy is cross-checked here. *)
-          report_certification ~label:"rescheduled schedule"
-            (Noc_analysis.Certify.check platform ctg
-               resched.Noc_eas.Fault_resched.schedule)
+          report_certification ~label:"rescheduled schedule" resched_diagnostics
         end
       end;
       report_certification ~label:"planned schedule" diagnostics;
@@ -711,9 +666,8 @@ let simulate_cmd =
        ~doc:"Replay a schedule on the wormhole executor, optionally under injected \
              faults.")
     Term.(term_result
-            (const run $ bench_arg $ algo_arg $ mesh_arg $ tasks_arg $ tightness_arg
-             $ routing_arg $ input_arg $ self_timed_arg $ fault_arg $ reschedule_arg
-             $ criticality_arg $ obs_term))
+            (const run $ problem_term ~verb:"Simulate" () $ algo_arg $ self_timed_arg
+             $ fault_arg $ reschedule_arg $ criticality_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -771,12 +725,6 @@ let base_of_annotations scaled
     ~transactions:(Noc_sched.Schedule.transactions scaled)
 
 let analyze_cmd =
-  let ctg_arg =
-    Arg.(value & opt (some string) None
-         & info [ "ctg" ] ~docv:"FILE"
-             ~doc:"Lint the task graph loaded from FILE (text format; $(b,-) reads \
-                   stdin) instead of the $(b,--benchmark) one.")
-  in
   let platform_arg =
     Arg.(value & flag
          & info [ "platform" ]
@@ -805,24 +753,16 @@ let analyze_cmd =
                    routing function and fault set, and is otherwise a strict \
                    superset of v1).")
   in
-  let run spec mesh tasks tightness routing ctg_file platform_only schedule_file
-      fault_specs json =
+  let run problem platform_only schedule_file fault_specs json =
     match Noc_fault.Fault_set.of_strings fault_specs with
     | Error msg -> Error (`Msg msg)
     | Ok faults ->
       let platform, ctg =
         if platform_only then
-          (Noc_experiments.Pipeline.mesh_platform ~routing mesh, None)
+          (Pipeline.mesh_platform ~routing:problem.routing problem.mesh, None)
         else
-          match ctg_file with
-          | Some path ->
-            let ctg = load_ctg path in
-            (platform_for_ctg ~mesh ~routing ctg, Some ctg)
-          | None ->
-            let platform, ctg =
-              platform_and_ctg spec ~mesh ~tasks ~tightness ~routing
-            in
-            (platform, Some ctg)
+          let platform, ctg = load_problem problem in
+          (platform, Some ctg)
       in
       let deadlock =
         if Noc_fault.Fault_set.is_empty faults then
@@ -920,7 +860,7 @@ let analyze_cmd =
             (fun () ->
               output_string oc
                 (Noc_analysis.Diagnostic.to_json
-                   ~routing:(Noc_noc.Turn_model.name routing)
+                   ~routing:(Noc_noc.Turn_model.name problem.routing)
                    ~faults:fault_specs diagnostics)))
         json;
       (* Lint-style exit status: 0 clean, 1 warnings, 2 errors. *)
@@ -938,9 +878,8 @@ let analyze_cmd =
              independent schedule certifier. Exits 0 when clean, 1 on warnings, 2 \
              on errors.")
     Term.(term_result
-            (const run $ bench_arg $ mesh_arg $ tasks_arg $ tightness_arg
-             $ routing_arg $ ctg_arg $ platform_arg $ schedule_arg $ fault_arg
-             $ json_arg))
+            (const run $ problem_term ~input_flags:[ "ctg" ] ~verb:"Lint" ()
+             $ platform_arg $ schedule_arg $ fault_arg $ json_arg))
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
@@ -971,140 +910,135 @@ let experiment_cmd =
                    campaign (pinned-EAS evaluation of the search winner).")
   in
   let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Domains to fan the campaign's trials over. Defaults to \
-                   $(b,NOCSCHED_JOBS) when set, otherwise the recommended \
-                   domain count of the machine. Results are identical at \
-                   every job count.")
+    jobs_arg
+      ~doc:"Domains to fan the campaign's trials over. Defaults to \
+            $(b,NOCSCHED_JOBS) when set, otherwise the recommended domain count \
+            of the machine. Results are identical at every job count."
   in
   let run which only quick map_search jobs obs =
     with_obs obs @@ fun () ->
     let scale = if quick then Some 0.2 else None in
-    match jobs with
-    | Some n when n < 1 -> Error (`Msg "--jobs must be at least 1")
-    | Some _ | None ->
-      let campaigns =
-        [
-          ( "fig5",
-            fun () ->
-              print_string
-                (Noc_experiments.Random_suite.render
-                   (Noc_experiments.Random_suite.run ?jobs ?scale
-                      Noc_tgff.Category.Category_i)) );
-          ( "fig6",
-            fun () ->
-              print_string
-                (Noc_experiments.Random_suite.render
-                   (Noc_experiments.Random_suite.run ?jobs ?scale
-                      Noc_tgff.Category.Category_ii)) );
-          ( "tab1",
-            fun () ->
-              print_string
-                (Noc_experiments.Msb_tables.render
-                   (Noc_experiments.Msb_tables.run Noc_experiments.Msb_tables.Encoder)) );
-          ( "tab2",
-            fun () ->
-              print_string
-                (Noc_experiments.Msb_tables.render
-                   (Noc_experiments.Msb_tables.run Noc_experiments.Msb_tables.Decoder)) );
-          ( "tab3",
-            fun () ->
-              print_string
-                (Noc_experiments.Msb_tables.render
-                   (Noc_experiments.Msb_tables.run
-                      Noc_experiments.Msb_tables.Integrated)) );
-          ( "fig7",
-            fun () ->
-              print_string (Noc_experiments.Tradeoff.render (Noc_experiments.Tradeoff.run ())) );
-          ( "split",
-            fun () ->
-              print_string
-                (Noc_experiments.Energy_split.render (Noc_experiments.Energy_split.run ())) );
-          ( "ablation",
-            fun () ->
-              print_string
-                (Noc_experiments.Ablation.render (Noc_experiments.Ablation.run ?jobs ())) );
-          ( "topo",
-            fun () ->
-              print_string
-                (Noc_experiments.Topology_compare.render
-                   (Noc_experiments.Topology_compare.run ?jobs ~map_search ())) );
-          ( "weights",
-            fun () ->
-              print_string
-                (Noc_experiments.Weight_ablation.render
-                   (Noc_experiments.Weight_ablation.run ?jobs ())) );
-          ( "repairmoves",
-            fun () ->
-              let scale = if quick then Some 0.3 else None in
-              print_string
-                (Noc_experiments.Repair_ablation.render
-                   (Noc_experiments.Repair_ablation.run ?jobs ?scale ())) );
-          ( "dvfs",
-            fun () ->
-              let rows =
-                match scale with
-                | Some scale ->
-                  Noc_experiments.Dvfs_campaign.run ?jobs ~indices:[ 0; 1 ] ~scale ()
-                | None -> Noc_experiments.Dvfs_campaign.run ?jobs ()
-              in
-              print_string (Noc_experiments.Dvfs_campaign.render rows) );
-          ( "baselines",
-            fun () ->
-              print_string
-                (Noc_experiments.Baselines_compare.render
-                   (Noc_experiments.Baselines_compare.run ?jobs ())) );
-          ( "buffering",
-            fun () ->
-              print_string (Noc_experiments.Buffering.render (Noc_experiments.Buffering.run ())) );
-          ( "faults",
-            fun () ->
-              let result =
-                if quick then
-                  Noc_experiments.Fault_campaign.run ?jobs ~scale:0.08 ~n_graphs:2
-                    ~n_trials:2 ()
-                else Noc_experiments.Fault_campaign.run ?jobs ()
-              in
-              print_string (Noc_experiments.Fault_campaign.render result) );
-          ( "mapping",
-            fun () ->
-              let p =
-                if quick then
-                  Noc_experiments.Topology_compare.pareto ?jobs ~meshes:[ (8, 8) ]
-                    ~scale:0.2 ()
-                else Noc_experiments.Topology_compare.pareto ?jobs ()
-              in
-              print_string (Noc_experiments.Topology_compare.render_pareto p) );
-        ]
-      in
-      let known () = String.concat ", " (List.map fst campaigns) in
-      let find name =
-        match List.assoc_opt name campaigns with
-        | Some f -> Ok (name, f)
-        | None ->
-          Error
-            (`Msg
-               (Printf.sprintf "unknown experiment %S; known campaigns: %s" name
-                  (known ())))
-      in
-      let selected =
-        match (which, only) with
-        | Some _, _ :: _ ->
-          Error (`Msg "pass either a positional campaign id or --only, not both")
-        | Some id, [] -> Result.map (fun c -> [ c ]) (find id)
-        | None, [] -> Ok campaigns
-        | None, names ->
-          List.fold_left
-            (fun acc name ->
-              Result.bind acc (fun cs -> Result.map (fun c -> cs @ [ c ]) (find name)))
-            (Ok []) names
-      in
-      Result.map
-        (List.iter (fun (name, f) ->
-             Noc_obs.Log.infof "experiment %s%s" name (if quick then " (quick)" else "");
-             f ()))
-        selected
+    let campaigns =
+      [
+        ( "fig5",
+          fun () ->
+            print_string
+              (Noc_experiments.Random_suite.render
+                 (Noc_experiments.Random_suite.run ?jobs ?scale
+                    Noc_tgff.Category.Category_i)) );
+        ( "fig6",
+          fun () ->
+            print_string
+              (Noc_experiments.Random_suite.render
+                 (Noc_experiments.Random_suite.run ?jobs ?scale
+                    Noc_tgff.Category.Category_ii)) );
+        ( "tab1",
+          fun () ->
+            print_string
+              (Noc_experiments.Msb_tables.render
+                 (Noc_experiments.Msb_tables.run Noc_experiments.Msb_tables.Encoder)) );
+        ( "tab2",
+          fun () ->
+            print_string
+              (Noc_experiments.Msb_tables.render
+                 (Noc_experiments.Msb_tables.run Noc_experiments.Msb_tables.Decoder)) );
+        ( "tab3",
+          fun () ->
+            print_string
+              (Noc_experiments.Msb_tables.render
+                 (Noc_experiments.Msb_tables.run
+                    Noc_experiments.Msb_tables.Integrated)) );
+        ( "fig7",
+          fun () ->
+            print_string (Noc_experiments.Tradeoff.render (Noc_experiments.Tradeoff.run ())) );
+        ( "split",
+          fun () ->
+            print_string
+              (Noc_experiments.Energy_split.render (Noc_experiments.Energy_split.run ())) );
+        ( "ablation",
+          fun () ->
+            print_string
+              (Noc_experiments.Ablation.render (Noc_experiments.Ablation.run ?jobs ())) );
+        ( "topo",
+          fun () ->
+            print_string
+              (Noc_experiments.Topology_compare.render
+                 (Noc_experiments.Topology_compare.run ?jobs ~map_search ())) );
+        ( "weights",
+          fun () ->
+            print_string
+              (Noc_experiments.Weight_ablation.render
+                 (Noc_experiments.Weight_ablation.run ?jobs ())) );
+        ( "repairmoves",
+          fun () ->
+            let scale = if quick then Some 0.3 else None in
+            print_string
+              (Noc_experiments.Repair_ablation.render
+                 (Noc_experiments.Repair_ablation.run ?jobs ?scale ())) );
+        ( "dvfs",
+          fun () ->
+            let rows =
+              match scale with
+              | Some scale ->
+                Noc_experiments.Dvfs_campaign.run ?jobs ~indices:[ 0; 1 ] ~scale ()
+              | None -> Noc_experiments.Dvfs_campaign.run ?jobs ()
+            in
+            print_string (Noc_experiments.Dvfs_campaign.render rows) );
+        ( "baselines",
+          fun () ->
+            print_string
+              (Noc_experiments.Baselines_compare.render
+                 (Noc_experiments.Baselines_compare.run ?jobs ())) );
+        ( "buffering",
+          fun () ->
+            print_string (Noc_experiments.Buffering.render (Noc_experiments.Buffering.run ())) );
+        ( "faults",
+          fun () ->
+            let result =
+              if quick then
+                Noc_experiments.Fault_campaign.run ?jobs ~scale:0.08 ~n_graphs:2
+                  ~n_trials:2 ()
+              else Noc_experiments.Fault_campaign.run ?jobs ()
+            in
+            print_string (Noc_experiments.Fault_campaign.render result) );
+        ( "mapping",
+          fun () ->
+            let p =
+              if quick then
+                Noc_experiments.Topology_compare.pareto ?jobs ~meshes:[ (8, 8) ]
+                  ~scale:0.2 ()
+              else Noc_experiments.Topology_compare.pareto ?jobs ()
+            in
+            print_string (Noc_experiments.Topology_compare.render_pareto p) );
+      ]
+    in
+    let known () = String.concat ", " (List.map fst campaigns) in
+    let find name =
+      match List.assoc_opt name campaigns with
+      | Some f -> Ok (name, f)
+      | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "unknown experiment %S; known campaigns: %s" name
+                (known ())))
+    in
+    let selected =
+      match (which, only) with
+      | Some _, _ :: _ ->
+        Error (`Msg "pass either a positional campaign id or --only, not both")
+      | Some id, [] -> Result.map (fun c -> [ c ]) (find id)
+      | None, [] -> Ok campaigns
+      | None, names ->
+        List.fold_left
+          (fun acc name ->
+            Result.bind acc (fun cs -> Result.map (fun c -> cs @ [ c ]) (find name)))
+          (Ok []) names
+    in
+    Result.map
+      (List.iter (fun (name, f) ->
+           Noc_obs.Log.infof "experiment %s%s" name (if quick then " (quick)" else "");
+           f ()))
+      selected
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate one of the paper's tables or figures.")
@@ -1123,15 +1057,14 @@ let serve_cmd =
                    to it).")
   in
   let cache_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt pos_int_conv 64
          & info [ "cache" ] ~docv:"N"
              ~doc:"Certified-schedule cache capacity (LRU entries).")
   in
   let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Fan concurrent pure schedule requests over N domains. \
-                   Replies are bit-identical at every job count.")
+    jobs_arg
+      ~doc:"Fan concurrent pure schedule requests over N domains. Replies are \
+            bit-identical at every job count."
   in
   let call_arg =
     Arg.(value & opt (some string) None
@@ -1225,20 +1158,10 @@ let serve_cmd =
   let run socket cache jobs call raw input mesh algo faults self_timed decisions
       dvfs vf_levels stats retries =
     Noc_obs.Log.init_from_env ();
-    if vf_levels <> None && not dvfs then
-      failwith "--vf-levels only makes sense with --dvfs";
-    let dvfs =
-      if dvfs then
-        Some (Option.value vf_levels ~default:Noc_dvfs.Vf_table.default)
-      else None
-    in
+    let dvfs = vf_of_flags ~dvfs vf_levels in
     match (call, raw) with
     | Some _, Some _ -> Error (`Msg "--call and --raw are mutually exclusive")
     | None, None ->
-      (match jobs with
-      | Some n when n < 1 -> failwith "--jobs must be at least 1"
-      | Some _ | None -> ());
-      if cache < 1 then failwith "--cache must be at least 1";
       Noc_serve.Server.run
         { Noc_serve.Server.socket_path = socket; capacity = cache; jobs };
       if stats then print_string (Noc_obs.Report.render ());

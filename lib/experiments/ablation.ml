@@ -43,14 +43,11 @@ let run ?jobs ?(seeds = [ 0; 1; 2; 7; 8 ]) ?(n_tasks = 120) ?(tightness = 1.4) (
     (fun seed ->
       Runner.traced ~label:(Printf.sprintf "ablation/seed=%d" seed) @@ fun () ->
       let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
-      let aware =
-        Runner.schedule_of ~comm_model:Noc_sched.Comm_sched.Contention_aware
-          Runner.Eas platform ctg
+      let schedule comm_model =
+        Noc_pipeline.Pipeline.schedule_of ~comm_model Runner.Eas platform ctg
       in
-      let fixed =
-        Runner.schedule_of ~comm_model:Noc_sched.Comm_sched.Fixed_delay Runner.Eas
-          platform ctg
-      in
+      let aware = schedule Noc_sched.Comm_sched.Contention_aware in
+      let fixed = schedule Noc_sched.Comm_sched.Fixed_delay in
       let aware_replay = Noc_sim.Executor.run platform ctg aware in
       let fixed_replay = Noc_sim.Executor.run platform ctg fixed in
       let aware_planned_misses, _ = miss_stats ctg aware in

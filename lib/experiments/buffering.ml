@@ -14,10 +14,10 @@ let run ?(seeds = [ 0; 1; 2; 7; 8 ]) ?(n_tasks = 120) () =
     (fun seed ->
       Runner.traced ~label:(Printf.sprintf "buffering/seed=%d" seed) @@ fun () ->
       let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
-      let aware = Runner.schedule_of Runner.Eas platform ctg in
+      let aware = Noc_pipeline.Pipeline.schedule_of Runner.Eas platform ctg in
       let fixed =
-        Runner.schedule_of ~comm_model:Noc_sched.Comm_sched.Fixed_delay Runner.Eas
-          platform ctg
+        Noc_pipeline.Pipeline.schedule_of ~comm_model:Noc_sched.Comm_sched.Fixed_delay
+          Runner.Eas platform ctg
       in
       let aware_replay = Noc_sim.Executor.run platform ctg aware in
       let fixed_replay = Noc_sim.Executor.run platform ctg fixed in

@@ -4,6 +4,8 @@
    the domain pool, so the output is bit-identical at every --jobs
    count. *)
 
+module Pipeline = Noc_pipeline.Pipeline
+
 type row = {
   name : string;
   category : string;

@@ -1,3 +1,4 @@
+module Pipeline = Noc_pipeline.Pipeline
 module Executor = Noc_sim.Executor
 module Fault_set = Noc_fault.Fault_set
 module Fault_resched = Noc_eas.Fault_resched
@@ -110,8 +111,8 @@ let run ?jobs ?(scale = 0.12) ?(n_graphs = 3) ?(n_trials = 4) () =
         (* Algorithm-independent fault horizon so EAS and EDF face the
            same fault sets. *)
         let horizon = 2. *. Noc_ctg.Ctg.min_critical_path ctg in
-        let eas_schedule = Runner.schedule_of Runner.Eas platform ctg in
-        let edf_schedule = Runner.schedule_of Runner.Edf platform ctg in
+        let eas_schedule = Pipeline.schedule_of Runner.Eas platform ctg in
+        let edf_schedule = Pipeline.schedule_of Runner.Edf platform ctg in
         (graph, ctg, horizon, eas_schedule, edf_schedule))
   in
   let trials =
@@ -189,7 +190,7 @@ let render result =
         Printf.sprintf
           "%s: naive survives %d/%d fault sets, rescheduled %d/%d (%d migrations, %d \
            detoured transactions)"
-          (Runner.algo_name s.algo) s.naive_survived s.trials s.resched_survived
+          (Pipeline.algo_name s.algo) s.naive_survived s.trials s.resched_survived
           s.trials s.total_migrated s.total_rerouted)
       result.summaries
   in
@@ -238,7 +239,7 @@ let to_json result =
         (Printf.sprintf
            "    {\"algo\": %S, \"trials\": %d, \"naive_survived\": %d, \
             \"resched_survived\": %d, \"migrated\": %d, \"rerouted\": %d}%s\n"
-           (Runner.algo_name s.algo) s.trials s.naive_survived s.resched_survived
+           (Pipeline.algo_name s.algo) s.trials s.naive_survived s.resched_survived
            s.total_migrated s.total_rerouted
            (if i = List.length result.summaries - 1 then "" else ",")))
     result.summaries;

@@ -1,11 +1,4 @@
-type algo = Eas | Eas_base | Edf
-
-let all_algos = [ Eas_base; Eas; Edf ]
-
-let algo_name = function
-  | Eas -> "EAS"
-  | Eas_base -> "EAS-base"
-  | Edf -> "EDF"
+type algo = Noc_pipeline.Pipeline.algo = Eas | Eas_base | Edf
 
 type evaluation = {
   algo : algo;
@@ -25,19 +18,6 @@ let traced ~label f =
         ~args:(fun () -> [ ("trial", Noc_obs.Trace.String label) ])
         f)
 
-let schedule_of ?comm_model ?kernel ?pinned ?jobs algo platform ctg =
-  match algo with
-  | Eas ->
-    (Noc_eas.Eas.schedule ?comm_model ?kernel ?pinned ?jobs platform ctg).schedule
-  | Eas_base ->
-    (Noc_eas.Eas.schedule ~repair:false ?comm_model ?kernel ?pinned ?jobs platform
-       ctg)
-      .schedule
-  | Edf ->
-    if pinned <> None then
-      invalid_arg "Runner.schedule_of: EDF does not take a pinned mapping";
-    Noc_edf.Edf.schedule ?comm_model platform ctg
-
 let resource_violations platform ctg schedule =
   Noc_sched.Validate.check platform ctg schedule
   |> List.filter (function
@@ -46,23 +26,19 @@ let resource_violations platform ctg schedule =
        | Noc_sched.Validate.Link_conflict _ | Noc_sched.Validate.Dependency _ -> true)
   |> List.length
 
-let evaluate ?comm_model ?pinned ?jobs algo platform ctg =
-  Noc_obs.Log.debugf "evaluate %s: %d tasks on %d PEs" (algo_name algo)
+let evaluate ?pinned ?jobs algo platform ctg =
+  Noc_obs.Log.debugf "evaluate %s: %d tasks on %d PEs"
+    (Noc_pipeline.Pipeline.algo_name algo)
     (Noc_ctg.Ctg.n_tasks ctg)
     (Noc_noc.Platform.n_pes platform);
   let runtime_seconds, schedule =
     let t0 = Noc_util.Clock.wall_s () in
-    let s = schedule_of ?comm_model ?pinned ?jobs algo platform ctg in
+    let s = Noc_pipeline.Pipeline.schedule_of ?pinned ?jobs algo platform ctg in
     (Noc_util.Clock.wall_s () -. t0, s)
   in
   let metrics = Noc_sched.Metrics.compute platform ctg schedule in
   let resource_violations = resource_violations platform ctg schedule in
-  (* The fixed-delay ablation is the only configuration allowed to plan
-     conflicting transactions. *)
-  (match comm_model with
-  | Some Noc_sched.Comm_sched.Fixed_delay -> ()
-  | Some Noc_sched.Comm_sched.Contention_aware | None ->
-    assert (resource_violations = 0));
+  assert (resource_violations = 0);
   { algo; metrics; runtime_seconds; resource_violations }
 
 let savings ~baseline v =

@@ -1,11 +1,9 @@
-(** Shared machinery for the paper's experiments: the three scheduler
-    configurations of Sec. 6 and their evaluation on a (platform, CTG)
+(** Shared machinery for the paper's experiments: the evaluation of one
+    of the three scheduler configurations of Sec. 6 on a (platform, CTG)
     pair. *)
 
-type algo = Eas | Eas_base | Edf
-
-val all_algos : algo list
-val algo_name : algo -> string
+type algo = Noc_pipeline.Pipeline.algo = Eas | Eas_base | Edf
+(** Re-exported so callers that name [Runner.Eas] keep compiling. *)
 
 type evaluation = {
   algo : algo;
@@ -24,30 +22,12 @@ val traced : label:string -> (unit -> 'a) -> 'a
     unique per trial and derived from the trial's own parameters. *)
 
 val evaluate :
-  ?comm_model:Noc_sched.Comm_sched.model ->
   ?pinned:int array ->
   ?jobs:int ->
   algo ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
   evaluation
-
-val schedule_of :
-  ?comm_model:Noc_sched.Comm_sched.model ->
-  ?kernel:Noc_eas.Kernel.t ->
-  ?pinned:int array ->
-  ?jobs:int ->
-  algo ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Noc_sched.Schedule.t
-(** [jobs] parallelises the EAS candidate walks on {!Noc_util.Pool}
-    (default 1; EDF ignores it). Schedules are bit-identical at every
-    job count. [kernel] reuses a prebuilt {!Noc_eas.Kernel} for the EAS
-    variants (bit-neutral; EDF ignores it). [pinned] fixes the
-    task-to-PE assignment for the EAS variants (see
-    {!Noc_eas.Eas.schedule}); EDF raises [Invalid_argument] when given
-    one. *)
 
 val resource_violations :
   Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> int

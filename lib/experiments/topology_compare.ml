@@ -121,14 +121,15 @@ let default_meshes = [ (8, 8); (16, 16) ]
 let default_balance_fracs = [ 0.; 0.1; 0.5; 2. ]
 
 let point_of_candidate ~label ~balance_frac (c : Noc_map.Search.candidate) =
+  let cert_errors, _, _ = Noc_analysis.Diagnostic.count c.diagnostics in
   {
     label;
     balance_frac;
-    static_value = c.Noc_map.Search.static_value;
-    energy = c.Noc_map.Search.energy;
-    makespan = c.Noc_map.Search.makespan;
-    misses = c.Noc_map.Search.misses;
-    cert_errors = c.Noc_map.Search.cert_errors;
+    static_value = c.static_value;
+    energy = c.metrics.Noc_sched.Metrics.total_energy;
+    makespan = c.metrics.Noc_sched.Metrics.makespan;
+    misses = Noc_sched.Metrics.miss_count c.metrics;
+    cert_errors;
   }
 
 let pareto ?jobs ?(index = 1) ?(meshes = default_meshes)
@@ -140,7 +141,7 @@ let pareto ?jobs ?(index = 1) ?(meshes = default_meshes)
         Runner.traced
           ~label:(Printf.sprintf "topology_compare/pareto/%dx%d/index=%d" cols rows index)
         @@ fun () ->
-        let platform = Pipeline.mesh_platform (cols, rows) in
+        let platform = Noc_pipeline.Pipeline.mesh_platform (cols, rows) in
         let seed = Noc_tgff.Category.seed_of Noc_tgff.Category.Category_iii index in
         let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
         (* One kernel per mesh, shared by every weight setting. *)

@@ -11,9 +11,8 @@
    Chain 0 starts from the identity mapping and every chain tracks its
    best-so-far, so with the pure-energy objective the best static value
    never exceeds the identity's. Survivors (plus the identity, always)
-   then get a real pinned EAS schedule and an independent {!Certify}
-   pass; the winner minimises (deadline misses, Eq.-3 energy, listing
-   position). *)
+   then go through the certified pipeline as pinned EAS; the winner
+   minimises (deadline misses, Eq.-3 energy, listing position). *)
 
 module Prng = Noc_util.Prng
 
@@ -46,12 +45,9 @@ type candidate = {
   origin : origin;
   mapping : int array;
   static_value : float;
-  energy : float;
-  makespan : float;
-  misses : int;
-  cert_errors : int;
   schedule : Noc_sched.Schedule.t;
-  stats : Noc_eas.Eas.stats;
+  metrics : Noc_sched.Metrics.t;
+  diagnostics : Noc_analysis.Diagnostic.t list;
 }
 
 type chain_result = {
@@ -174,33 +170,27 @@ let run_chain tables ~params ~n_tasks ~n_pes ~capacity chain =
    Step 2's parallel probe refresh would spawn a domain pool per commit
    iteration and buy nothing (profiled at ~6s per 2000-task evaluation
    against 0.15s serial). *)
-let evaluate ~kernel ~origin platform ctg mapping =
+let evaluate ~kernel ~origin platform ctg mapping static_value =
   Noc_obs.Trace.span ~cat:"map" "map/evaluate" @@ fun () ->
-  let outcome = Noc_eas.Eas.schedule ~pinned:mapping ~kernel platform ctg in
-  let metrics = Noc_sched.Metrics.compute platform ctg outcome.Noc_eas.Eas.schedule in
-  let diags =
-    Noc_analysis.Certify.check ~claimed_energy:metrics.Noc_sched.Metrics.total_energy
-      platform ctg outcome.Noc_eas.Eas.schedule
+  let p =
+    Noc_pipeline.Pipeline.run ~kernel ~pinned:mapping Noc_pipeline.Pipeline.Eas platform
+      ctg
   in
-  let cert_errors =
-    List.length
-      (List.filter
-         (fun (d : Noc_analysis.Diagnostic.t) ->
-           d.severity = Noc_analysis.Diagnostic.Error)
-         diags)
-  in
-  fun static_value ->
-    {
-      origin;
-      mapping = Array.copy mapping;
-      static_value;
-      energy = metrics.Noc_sched.Metrics.total_energy;
-      makespan = metrics.Noc_sched.Metrics.makespan;
-      misses = Noc_sched.Metrics.miss_count metrics;
-      cert_errors;
-      schedule = outcome.Noc_eas.Eas.schedule;
-      stats = outcome.Noc_eas.Eas.stats;
-    }
+  {
+    origin;
+    mapping = Array.copy mapping;
+    static_value;
+    schedule = p.schedule;
+    metrics = p.metrics;
+    diagnostics = p.diagnostics;
+  }
+
+let energy c = c.metrics.Noc_sched.Metrics.total_energy
+let misses c = Noc_sched.Metrics.miss_count c.metrics
+
+let cert_errors c =
+  let errors, _, _ = Noc_analysis.Diagnostic.count c.diagnostics in
+  errors
 
 let run ?jobs ?(params = default_params) ?kernel platform ctg =
   Noc_obs.Trace.span ~cat:"map" "map/search"
@@ -257,14 +247,12 @@ let run ?jobs ?(params = default_params) ?kernel platform ctg =
           (Objective.full_value tables identity);
       ]
   in
+  let rank c = (misses c, energy c) in
   let winner =
     match candidates with
     | [] -> assert false
     | first :: rest ->
-      List.fold_left
-        (fun best c ->
-          if (c.misses, c.energy) < (best.misses, best.energy) then c else best)
-        first rest
+      List.fold_left (fun best c -> if rank c < rank best then c else best) first rest
   in
   { search_params = params; chain_results; candidates; winner }
 
@@ -275,8 +263,9 @@ let pp_result ppf r =
   List.iter
     (fun c ->
       Format.fprintf ppf "%-9s static %.6g energy %.6g makespan %.6g misses %d cert %s@,"
-        (origin_name c.origin) c.static_value c.energy c.makespan c.misses
-        (if c.cert_errors = 0 then "ok" else string_of_int c.cert_errors ^ " errors"))
+        (origin_name c.origin) c.static_value (energy c)
+        c.metrics.Noc_sched.Metrics.makespan (misses c)
+        (match cert_errors c with 0 -> "ok" | n -> string_of_int n ^ " errors"))
     r.candidates;
   Format.fprintf ppf "winner: %s (energy %.6g, misses %d)@]"
-    (origin_name r.winner.origin) r.winner.energy r.winner.misses
+    (origin_name r.winner.origin) (energy r.winner) (misses r.winner)

@@ -8,9 +8,9 @@
     mapping (task [i] on tile [i mod n_pes]) with best-so-far tracking,
     so under the pure-energy objective the search can never lose to the
     identity. The best-[survivors] chains — plus the identity, always —
-    get a full pinned EAS schedule ({!Noc_eas.Eas.schedule} with
-    [~pinned]) and an independent {!Noc_analysis.Certify} pass; the
-    winner minimises (deadline misses, Eq.-3 energy, position). *)
+    go through the certified pipeline as pinned EAS
+    ({!Noc_pipeline.Pipeline.run} with [~pinned]); the winner minimises
+    (deadline misses, Eq.-3 energy, position). *)
 
 type params = {
   chains : int;  (** Independent SA chains (>= 1). *)
@@ -35,12 +35,10 @@ type candidate = {
   origin : origin;
   mapping : int array;
   static_value : float;  (** {!Objective} value of the mapping. *)
-  energy : float;  (** Eq.-3 total of the pinned EAS schedule. *)
-  makespan : float;
-  misses : int;
-  cert_errors : int;  (** Error-severity {!Noc_analysis.Certify} rules. *)
-  schedule : Noc_sched.Schedule.t;
-  stats : Noc_eas.Eas.stats;
+  schedule : Noc_sched.Schedule.t;  (** The pinned EAS schedule. *)
+  metrics : Noc_sched.Metrics.t;  (** Its Eq.-3 metrics. *)
+  diagnostics : Noc_analysis.Diagnostic.t list;
+      (** Its {!Noc_analysis.Certify.check}; empty means certified. *)
 }
 
 type chain_result = {

@@ -11,10 +11,5 @@ let vf_table table = Noc_util.Fnv.digest (Noc_dvfs.Vf_table.hex table)
 
 let make ?(dvfs_digest = no_dvfs) ~algo ~ctg_digest ~platform_digest ~fault_digest () =
   Printf.sprintf "%s:%s:%s:%s:%s"
-    (String.lowercase_ascii (Noc_experiments.Runner.algo_name algo))
+    (Noc_pipeline.Pipeline.algo_wire algo)
     ctg_digest platform_digest fault_digest dvfs_digest
-
-let key ?dvfs_digest ~algo ~ctg ~platform ~faults () =
-  make ?dvfs_digest ~algo ~ctg_digest:(Noc_ctg.Ctg.digest ctg)
-    ~platform_digest:(Noc_noc.Platform.digest platform)
-    ~fault_digest:(fault_set faults) ()

@@ -29,23 +29,13 @@ val vf_table : Noc_dvfs.Vf_table.t -> string
 
 val make :
   ?dvfs_digest:string ->
-  algo:Noc_experiments.Runner.algo ->
+  algo:Noc_pipeline.Pipeline.algo ->
   ctg_digest:string ->
   platform_digest:string ->
   fault_digest:string ->
   unit ->
   string
-(** {!key} from already-computed component digests — the server
-    memoizes the CTG and platform digests with the objects they
-    describe, so a cache hit never re-serializes the graph.
-    [dvfs_digest] defaults to {!no_dvfs}. *)
-
-val key :
-  ?dvfs_digest:string ->
-  algo:Noc_experiments.Runner.algo ->
-  ctg:Noc_ctg.Ctg.t ->
-  platform:Noc_noc.Platform.t ->
-  faults:Noc_fault.Fault_set.t ->
-  unit ->
-  string
-(** The full cache key, [algo:ctg:platform:faults:dvfs]. *)
+(** The cache key [algo:ctg:platform:faults:dvfs] from component
+    digests — the server memoizes the CTG and platform digests with the
+    objects they describe, so a cache hit never re-serializes the
+    graph. [dvfs_digest] defaults to {!no_dvfs}. *)

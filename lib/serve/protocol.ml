@@ -1,4 +1,5 @@
 module Json = Noc_obs.Json
+module Pipeline = Noc_pipeline.Pipeline
 
 let schema = "nocsched/serve/v1"
 
@@ -6,21 +7,21 @@ type request =
   | Schedule of {
       ctg_text : string;
       mesh : int * int;
-      algo : Noc_experiments.Runner.algo;
+      algo : Pipeline.algo;
       decisions : bool;
       dvfs : Noc_dvfs.Vf_table.t option;
     }
   | Simulate of {
       ctg_text : string;
       mesh : int * int;
-      algo : Noc_experiments.Runner.algo;
+      algo : Pipeline.algo;
       faults : string list;
       self_timed : bool;
     }
   | Reschedule of {
       ctg_text : string;
       mesh : int * int;
-      algo : Noc_experiments.Runner.algo;
+      algo : Pipeline.algo;
       faults : string list;
     }
   | Stats
@@ -60,23 +61,6 @@ let string_list_field name obj =
     go [] items
   | Some _ -> Error (Printf.sprintf "field %S must be a list of strings" name)
 
-let parse_mesh s =
-  match String.split_on_char 'x' (String.lowercase_ascii s) with
-  | [ c; r ] -> (
-    match (int_of_string_opt c, int_of_string_opt r) with
-    | Some cols, Some rows when cols > 0 && rows > 0 -> Ok (cols, rows)
-    | _ -> Error (Printf.sprintf "mesh %S must be COLSxROWS with positive integers" s))
-  | _ -> Error (Printf.sprintf "mesh %S must look like 4x4" s)
-
-let parse_algo s =
-  match String.lowercase_ascii s with
-  | "eas" -> Ok Noc_experiments.Runner.Eas
-  | "eas-base" -> Ok Noc_experiments.Runner.Eas_base
-  | "edf" -> Ok Noc_experiments.Runner.Edf
-  | other -> Error (Printf.sprintf "algo %S must be eas, eas-base or edf" other)
-
-let mesh_name (cols, rows) = Printf.sprintf "%dx%d" cols rows
-
 (* ------------------------------------------------------------------ *)
 (* Request parsing.                                                    *)
 
@@ -90,9 +74,9 @@ let ctg_mesh_algo obj =
     | None -> Error "missing field \"ctg\""
   in
   let* mesh_text = string_field ~default:"4x4" "mesh" obj in
-  let* mesh = parse_mesh mesh_text in
+  let* mesh = Pipeline.mesh_of_string mesh_text in
   let* algo_text = string_field ~default:"eas" "algo" obj in
-  let* algo = parse_algo algo_text in
+  let* algo = Pipeline.algo_of_string algo_text in
   Ok (ctg_text, mesh, algo)
 
 let parse_request line =
@@ -124,11 +108,8 @@ let parse_request line =
           | Some _ -> Error "field \"vf_levels\" must be a string"
         in
         let* dvfs =
-          match (dvfs_flag, vf_levels) with
-          | false, Some _ -> Error "field \"vf_levels\" needs \"dvfs\": true"
-          | false, None -> Ok None
-          | true, Some t -> Ok (Some t)
-          | true, None -> Ok (Some Noc_dvfs.Vf_table.default)
+          Pipeline.vf_ladder ~dvfs:dvfs_flag
+            ~unpaired:"field \"vf_levels\" needs \"dvfs\": true" vf_levels
         in
         Ok (Schedule { ctg_text; mesh; algo; decisions; dvfs })
       | "simulate" ->
@@ -158,18 +139,21 @@ let with_id id fields =
   match id with None -> fields | Some id -> ("id", Json.String id) :: fields
 
 let request_to_line ?id request =
-  let base = [ ("op", Json.String (op_name request)) ] in
+  let problem ctg_text mesh algo =
+    [
+      ("ctg", Json.String ctg_text);
+      ("mesh", Json.String (Pipeline.mesh_name mesh));
+      ("algo", Json.String (Pipeline.algo_wire algo));
+    ]
+  in
+  let faults_field faults =
+    ("faults", Json.List (List.map (fun f -> Json.String f) faults))
+  in
   let fields =
     match request with
     | Schedule { ctg_text; mesh; algo; decisions; dvfs } ->
-      base
-      @ [
-          ("ctg", Json.String ctg_text);
-          ("mesh", Json.String (mesh_name mesh));
-          ("algo", Json.String (Noc_experiments.Runner.algo_name algo
-                                |> String.lowercase_ascii));
-          ("decisions", Json.Bool decisions);
-        ]
+      problem ctg_text mesh algo
+      @ [ ("decisions", Json.Bool decisions) ]
       @ (match dvfs with
         | None -> []
         | Some table ->
@@ -178,27 +162,14 @@ let request_to_line ?id request =
             ("vf_levels", Json.String (Noc_dvfs.Vf_table.to_string table));
           ])
     | Simulate { ctg_text; mesh; algo; faults; self_timed } ->
-      base
-      @ [
-          ("ctg", Json.String ctg_text);
-          ("mesh", Json.String (mesh_name mesh));
-          ("algo", Json.String (Noc_experiments.Runner.algo_name algo
-                                |> String.lowercase_ascii));
-          ("faults", Json.List (List.map (fun f -> Json.String f) faults));
-          ("self_timed", Json.Bool self_timed);
-        ]
+      problem ctg_text mesh algo
+      @ [ faults_field faults; ("self_timed", Json.Bool self_timed) ]
     | Reschedule { ctg_text; mesh; algo; faults } ->
-      base
-      @ [
-          ("ctg", Json.String ctg_text);
-          ("mesh", Json.String (mesh_name mesh));
-          ("algo", Json.String (Noc_experiments.Runner.algo_name algo
-                                |> String.lowercase_ascii));
-          ("faults", Json.List (List.map (fun f -> Json.String f) faults));
-        ]
-    | Stats | Shutdown -> base
+      problem ctg_text mesh algo @ [ faults_field faults ]
+    | Stats | Shutdown -> []
   in
-  Json.to_string (Json.Obj (with_id id fields))
+  Json.to_string
+    (Json.Obj (with_id id (("op", Json.String (op_name request)) :: fields)))
 
 let error_line ?id msg =
   Json.to_string

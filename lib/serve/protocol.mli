@@ -46,7 +46,7 @@ type request =
   | Schedule of {
       ctg_text : string;
       mesh : int * int;
-      algo : Noc_experiments.Runner.algo;
+      algo : Noc_pipeline.Pipeline.algo;
       decisions : bool;  (** Include the EAS decision log in the reply. *)
       dvfs : Noc_dvfs.Vf_table.t option;
           (** [Some table] reclaims slack with the given V/f ladder;
@@ -55,14 +55,14 @@ type request =
   | Simulate of {
       ctg_text : string;
       mesh : int * int;
-      algo : Noc_experiments.Runner.algo;
+      algo : Noc_pipeline.Pipeline.algo;
       faults : string list;
       self_timed : bool;
     }
   | Reschedule of {
       ctg_text : string;
       mesh : int * int;
-      algo : Noc_experiments.Runner.algo;
+      algo : Noc_pipeline.Pipeline.algo;
       faults : string list;
     }
   | Stats
@@ -70,9 +70,6 @@ type request =
 
 val op_name : request -> string
 (** The wire verb: ["schedule"], ["simulate"], ... *)
-
-val mesh_name : int * int -> string
-(** [(4, 4)] as ["4x4"]. *)
 
 val parse_request : string -> (request * string option, string) result
 (** Parse one request line into the request and its optional [id].

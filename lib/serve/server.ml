@@ -9,8 +9,7 @@ module Schedule = Noc_sched.Schedule
 module Schedule_io = Noc_sched.Schedule_io
 module Metrics = Noc_sched.Metrics
 module Fault_set = Noc_fault.Fault_set
-module Runner = Noc_experiments.Runner
-module Pipeline = Noc_experiments.Pipeline
+module Pipeline = Noc_pipeline.Pipeline
 module Certify = Noc_analysis.Certify
 module Diagnostic = Noc_analysis.Diagnostic
 
@@ -98,8 +97,6 @@ let parse_graph state ctg_text =
       Cache.add state.parses ctg_text v;
       Ok v)
 
-let algo_wire algo = String.lowercase_ascii (Runner.algo_name algo)
-
 (* ------------------------------------------------------------------ *)
 (* Decision-log capture.                                               *)
 
@@ -129,6 +126,13 @@ let same_edges a b =
          x.src = y.src && x.dst = y.dst && x.volume = y.volume)
        (Ctg.edges a) (Ctg.edges b)
 
+(* Serialise with the entry's DVFS annotations when it carries them, so
+   a relabelled scaled entry keeps its format-v3 text. *)
+let entry_text (entry : entry) schedule =
+  match entry.dvfs with
+  | Some (_, annotations, _, _) -> Schedule_io.to_string ~dvfs:annotations schedule
+  | None -> Schedule_io.to_string schedule
+
 (* A digest-equal graph may still declare its edges in another order
    (edge ids are labels, not semantics — the digest sorts arcs by
    endpoints). The cached schedule is the right answer, but its
@@ -137,15 +141,8 @@ let same_edges a b =
    guarantees arcs are unique per endpoint pair, so the map is a
    bijection when the graphs really are the same problem; any mismatch
    (an FNV collision) falls back to a fresh computation. *)
-(* Serialise with the entry's DVFS annotations when it carries them, so
-   a relabelled scaled entry keeps its format-v3 text. *)
-let entry_text (entry : entry) schedule =
-  match entry.dvfs with
-  | Some (_, annotations, _, _) -> Schedule_io.to_string ~dvfs:annotations schedule
-  | None -> Schedule_io.to_string schedule
-
 let relabel (entry : entry) (ctg : Ctg.t) =
-  if same_edges entry.ctg ctg then Some (entry.schedule, entry.text, entry.decisions)
+  if same_edges entry.ctg ctg then Some { entry with ctg }
   else if Ctg.n_edges entry.ctg <> Ctg.n_edges ctg then None
   else
     let by_arc = Hashtbl.create (Ctg.n_edges ctg) in
@@ -168,8 +165,16 @@ let relabel (entry : entry) (ctg : Ctg.t) =
       in
       (* Decision records name tasks and PEs, never edge ids, so they
          survive the relabelling unchanged — as do DVFS annotations. *)
-      Some (schedule, entry_text entry schedule, entry.decisions)
+      Some { entry with ctg; schedule; text = entry_text entry schedule }
     with Exit | Invalid_argument _ -> None
+
+(* The entry cached under [key], relabelled to the request's graph;
+   [None] (compute afresh) when there is none, when relabelling fails,
+   or when the request wants a decision log the entry does not carry. *)
+let cached state key ctg ~want_decisions =
+  match Option.bind (Cache.find state.schedules key) (fun e -> relabel e ctg) with
+  | Some { decisions = None; _ } when want_decisions -> None
+  | hit -> hit
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling.                                                         *)
@@ -180,8 +185,8 @@ let relabel (entry : entry) (ctg : Ctg.t) =
 let kernel_for state platform ctg algo ~digests =
   let ctg_digest, platform_digest = digests in
   match algo with
-  | Runner.Edf -> None
-  | Runner.Eas | Runner.Eas_base -> (
+  | Pipeline.Edf -> None
+  | Pipeline.Eas | Pipeline.Eas_base -> (
     let key = ctg_digest ^ ":" ^ platform_digest in
     match Cache.find state.kernels key with
     | Some k -> Some k
@@ -205,10 +210,11 @@ let certification_error diags =
          | Some d -> Format.asprintf "%a" Diagnostic.pp d
          | None -> "?"))
 
-(* A full (cache-miss) computation through the certified pipeline. *)
-let compute_fresh state platform ctg algo ~digests ~want_decisions =
+(* A full (cache-miss) run of the certified pipeline, with its decision
+   log when wanted; [Error] when the base schedule does not certify. *)
+let run_pipeline ?vf state platform ctg algo ~digests ~want_decisions =
   let kernel = kernel_for state platform ctg algo ~digests in
-  let run () = Pipeline.run ?kernel algo platform ctg in
+  let run () = Pipeline.run ?kernel ?vf algo platform ctg in
   let p, decisions =
     if want_decisions then
       let p, d = capture_decisions run in
@@ -217,20 +223,22 @@ let compute_fresh state platform ctg algo ~digests ~want_decisions =
   in
   match certification_error p.Pipeline.diagnostics with
   | Some msg -> Error msg
-  | None ->
-    let metrics = p.Pipeline.metrics in
-    Ok
-      {
-        ctg;
-        schedule = p.Pipeline.schedule;
-        text = Schedule_io.to_string p.Pipeline.schedule;
-        energy = metrics.Metrics.total_energy;
-        makespan = metrics.Metrics.makespan;
-        misses = Metrics.miss_count metrics;
-        decisions;
-        resched = None;
-        dvfs = None;
-      }
+  | None -> Ok (p, decisions)
+
+let compute_fresh state platform ctg algo ~digests ~want_decisions =
+  run_pipeline state platform ctg algo ~digests ~want_decisions
+  |> Result.map (fun ((p : Pipeline.result), decisions) ->
+         {
+           ctg;
+           schedule = p.schedule;
+           text = Schedule_io.to_string p.schedule;
+           energy = p.metrics.Metrics.total_energy;
+           makespan = p.metrics.Metrics.makespan;
+           misses = Metrics.miss_count p.metrics;
+           decisions;
+           resched = None;
+           dvfs = None;
+         })
 
 (* The memoised schedule for (algo, ctg, platform) with no faults.
    Returns the entry (relabelled to the request's graph), whether it was
@@ -245,21 +253,13 @@ let obtain state platform ctg algo ~digests ~want_decisions =
     Digest.make ~algo ~ctg_digest ~platform_digest
       ~fault_digest:empty_fault_digest ()
   in
-  let fresh () =
-    match compute_fresh state platform ctg algo ~digests ~want_decisions with
-    | Error _ as e -> e
-    | Ok entry ->
-      Cache.add state.schedules key entry;
-      Ok (entry, false, key)
-  in
-  match Cache.find state.schedules key with
-  | None -> fresh ()
-  | Some entry -> (
-    match relabel entry ctg with
-    | None -> fresh ()
-    | Some (schedule, text, decisions) ->
-      if want_decisions && decisions = None then fresh ()
-      else Ok ({ entry with ctg; schedule; text; decisions }, true, key))
+  match cached state key ctg ~want_decisions with
+  | Some entry -> Ok (entry, true, key)
+  | None ->
+    compute_fresh state platform ctg algo ~digests ~want_decisions
+    |> Result.map (fun entry ->
+           Cache.add state.schedules key entry;
+           (entry, false, key))
 
 (* ------------------------------------------------------------------ *)
 (* Request handlers.                                                   *)
@@ -271,7 +271,7 @@ let schedule_fields ~cached ~key ~algo (entry : entry) =
   [
     ("cached", Json.Bool cached);
     ("key", Json.String key);
-    ("algo", Json.String (algo_wire algo));
+    ("algo", Json.String (Pipeline.algo_wire algo));
     ("certified", Json.Bool true);
     ("energy", num entry.energy);
     ("makespan", num entry.makespan);
@@ -282,13 +282,14 @@ let schedule_fields ~cached ~key ~algo (entry : entry) =
 let with_graph state ?id ~ctg_text ~mesh k =
   match parse_graph state ctg_text with
   | Error msg -> Protocol.error_line ?id ("ctg: " ^ msg)
-  | Ok (ctg, ctg_digest) ->
-    let platform, platform_digest = platform_for state mesh in
-    if Ctg.n_pes ctg <> Platform.n_pes platform then
-      Protocol.error_line ?id
-        (Printf.sprintf "graph expects %d PEs but mesh %s has %d" (Ctg.n_pes ctg)
-           (Protocol.mesh_name mesh) (Platform.n_pes platform))
-    else k platform ctg ~digests:(ctg_digest, platform_digest)
+  | Ok (ctg, ctg_digest) -> (
+    (* Before [platform_for]: a mismatched mesh must cost neither a
+       platform build nor a memo slot. *)
+    match Pipeline.check_fits mesh ctg with
+    | Error msg -> Protocol.error_line ?id msg
+    | Ok () ->
+      let platform, platform_digest = platform_for state mesh in
+      k platform ctg ~digests:(ctg_digest, platform_digest))
 
 let decisions_field ~decisions (entry : entry) fields =
   match entry.decisions with
@@ -329,15 +330,9 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
   let fresh () =
     let base_result =
       if decisions then
-        let kernel = kernel_for state platform ctg algo ~digests in
-        let (p, d), jsonl =
-          capture_decisions (fun () ->
-              let p = Pipeline.run ?kernel algo platform ctg in
-              (p, Pipeline.reclaim table platform ctg p.Pipeline.schedule))
-        in
-        match certification_error p.Pipeline.diagnostics with
-        | Some msg -> Error msg
-        | None -> Ok (p.Pipeline.metrics.Metrics.total_energy, false, Some jsonl, d)
+        run_pipeline ~vf:table state platform ctg algo ~digests ~want_decisions:true
+        |> Result.map (fun ((p : Pipeline.result), dlog) ->
+               (p.metrics.Metrics.total_energy, false, dlog, Option.get p.dvfs))
       else
         match obtain state platform ctg algo ~digests ~want_decisions:false with
         | Error msg -> Error msg
@@ -374,16 +369,9 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
         Cache.add state.schedules dkey entry;
         reply ~cached:false ~base_cached entry)
   in
-  match Cache.find state.schedules dkey with
+  match cached state dkey ctg ~want_decisions:decisions with
+  | Some entry -> reply ~cached:true ~base_cached:true entry
   | None -> fresh ()
-  | Some entry -> (
-    match relabel entry ctg with
-    | None -> fresh ()
-    | Some (schedule, text, dlog) ->
-      if decisions && dlog = None then fresh ()
-      else
-        reply ~cached:true ~base_cached:true
-          { entry with ctg; schedule; text; decisions = dlog })
 
 let handle_schedule state ?id ~ctg_text ~mesh ~algo ~decisions ~dvfs () =
   with_graph state ?id ~ctg_text ~mesh @@ fun platform ctg ~digests ->
@@ -447,15 +435,13 @@ let handle_reschedule state ?id ~ctg_text ~mesh ~algo ~faults () =
       match obtain state platform ctg algo ~digests ~want_decisions:false with
       | Error msg -> Protocol.error_line ?id ("base schedule: " ^ msg)
       | Ok (base, base_cached, _) -> (
-        match Noc_eas.Fault_resched.run platform ctg ~faults base.schedule with
+        match Pipeline.reschedule platform ctg ~faults base.schedule with
         | exception Invalid_argument msg ->
           Protocol.error_line ?id ("reschedule: " ^ msg)
-        | outcome ->
+        | outcome, diags ->
           let schedule = outcome.Noc_eas.Fault_resched.schedule in
-          (* Detour routes legitimately diverge from the deterministic-route
-             energy of Metrics, so the reply carries the certifier's own
-             Eq. 3 total and no claimed energy is cross-checked. *)
-          let diags = Certify.check platform ctg schedule in
+          (* The certifier's own Eq.-3 total: detour routes diverge from
+             the deterministic-route energy of Metrics. *)
           (match certification_error diags with
           | Some msg -> Protocol.error_line ?id msg
           | None ->
@@ -483,16 +469,12 @@ let handle_reschedule state ?id ~ctg_text ~mesh ~algo ~faults () =
               @ resched_fields entry.resched
               @ [ ("base_cached", Json.Bool base_cached) ])))
     in
-    match Cache.find state.schedules full_key with
-    | None -> fresh ()
-    | Some entry -> (
-      match relabel entry ctg with
-      | None -> fresh ()
-      | Some (schedule, text, _) ->
-        let entry = { entry with ctg; schedule; text } in
-        Protocol.ok_line ?id ~op:"reschedule"
-          (schedule_fields ~cached:true ~key:full_key ~algo entry
-          @ resched_fields entry.resched)))
+    match cached state full_key ctg ~want_decisions:false with
+    | Some entry ->
+      Protocol.ok_line ?id ~op:"reschedule"
+        (schedule_fields ~cached:true ~key:full_key ~algo entry
+        @ resched_fields entry.resched)
+    | None -> fresh ())
 
 let cache_json c =
   Json.Obj

@@ -4,14 +4,16 @@
     One [run] call owns one listening socket and serves {!Protocol}
     requests until a [shutdown] request arrives. Architecture:
 
-    - {b Warm state.} Platforms (one per requested mesh geometry) are
-      built once, their route memos eagerly warmed, and kept resident;
+    - {b Warm state.} Platforms (one per requested mesh geometry the
+      graph fits, checked before any build) are built once, their route
+      memos eagerly warmed, and kept resident;
       flat-array {!Noc_eas.Kernel} matrices are memoized per
       (CTG, platform) digest pair in their own LRU, so a cache-missed
       request pays the build at most once.
     - {b Schedule cache.} Results are memoized in an LRU keyed by
-      {!Digest.key} (algo, CTG digest, platform digest, fault digest).
-      Every entry was certified by {!Noc_analysis.Certify} when it was
+      {!Digest.make} (algo, CTG digest, platform digest, fault digest,
+      DVFS ladder digest). Every entry comes from
+      {!Noc_pipeline.Pipeline} and was certified when it was
       inserted — a schedule the certifier rejects is returned as an
       error and never cached — and hits are served without
       re-certification. Hits are label-faithful: a request whose graph

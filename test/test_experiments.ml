@@ -2,6 +2,7 @@
    artifact, asserting the qualitative shapes the paper reports). *)
 
 module Runner = Noc_experiments.Runner
+module Pipeline = Noc_pipeline.Pipeline
 module Random_suite = Noc_experiments.Random_suite
 module Msb_tables = Noc_experiments.Msb_tables
 module Tradeoff = Noc_experiments.Tradeoff
@@ -15,7 +16,7 @@ let contains_substring haystack needle =
 
 let test_runner_names () =
   Alcotest.(check (list string)) "algo names" [ "EAS-base"; "EAS"; "EDF" ]
-    (List.map Runner.algo_name Runner.all_algos)
+    (List.map Pipeline.algo_name Pipeline.all_algos)
 
 let test_runner_savings () =
   Alcotest.(check (float 1e-9)) "savings" 0.25 (Runner.savings ~baseline:100. 75.)
@@ -28,11 +29,11 @@ let test_runner_evaluate () =
     (fun algo ->
       let e = Runner.evaluate algo platform ctg in
       Alcotest.(check int)
-        (Runner.algo_name algo ^ " no resource violations")
+        (Pipeline.algo_name algo ^ " no resource violations")
         0 e.Runner.resource_violations;
       Alcotest.(check bool) "positive energy" true
         (e.Runner.metrics.Noc_sched.Metrics.total_energy > 0.))
-    Runner.all_algos
+    Pipeline.all_algos
 
 let test_fig5_shape_scaled () =
   (* A scaled category-I run must preserve the paper's headline: EAS

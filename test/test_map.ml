@@ -103,6 +103,8 @@ let qcheck_counts_consistent =
       && Array.for_all (fun x -> x)
            (Array.init n_tasks (fun i -> Objective.tile_of state i = m.(i))))
 
+let energy (c : Search.candidate) = c.metrics.Noc_sched.Metrics.total_energy
+
 (* Structural digest of everything a search run computed; float fields
    compare bitwise under (=), which is exactly the determinism the
    search promises. *)
@@ -113,8 +115,10 @@ let digest (r : Search.result) =
       r.chain_results,
     List.map
       (fun (c : Search.candidate) ->
-        ( Search.origin_name c.origin, c.static_value, c.energy, c.makespan,
-          c.misses, c.cert_errors, Array.to_list c.mapping ))
+        ( Search.origin_name c.origin, c.static_value, energy c,
+          c.metrics.Noc_sched.Metrics.makespan,
+          Noc_sched.Metrics.miss_count c.metrics,
+          Noc_analysis.Diagnostic.count c.diagnostics, Array.to_list c.mapping ))
       r.candidates,
     Array.to_list r.winner.mapping )
 
@@ -158,9 +162,9 @@ let test_never_loses_to_identity () =
       r.candidates
   in
   Alcotest.(check bool) "best static value <= identity energy" true
-    (best.static_value <= identity.energy *. (1. +. 1e-9));
+    (best.static_value <= energy identity *. (1. +. 1e-9));
   Alcotest.(check bool) "best survivor energy <= identity energy" true
-    (best.energy <= identity.energy *. (1. +. 1e-9));
+    (energy best <= energy identity *. (1. +. 1e-9));
   (* Energy-only static value = pinned-EAS Eq.-3 total, per candidate. *)
   List.iter
     (fun (c : Search.candidate) ->
@@ -168,7 +172,7 @@ let test_never_loses_to_identity () =
         (Printf.sprintf "%s static value = schedule energy"
            (Search.origin_name c.origin))
         true
-        (Noc_util.Stats.fequal ~eps:1e-6 c.static_value c.energy))
+        (Noc_util.Stats.fequal ~eps:1e-6 c.static_value (energy c)))
     r.candidates
 
 let test_capacity_respected () =
@@ -219,12 +223,12 @@ let test_pinned_rejects_bad_mapping () =
     (Invalid_argument "Level_sched.run: pinned length <> task count")
     (fun () -> ignore (Noc_eas.Eas.schedule ~pinned:[| 0; 1; 2 |] platform ctg));
   Alcotest.check_raises "EDF refuses a mapping"
-    (Invalid_argument "Runner.schedule_of: EDF does not take a pinned mapping")
+    (Invalid_argument "Pipeline.schedule_of: EDF does not take a pinned mapping")
     (fun () ->
       ignore
-        (Noc_experiments.Runner.schedule_of
+        (Noc_pipeline.Pipeline.schedule_of
            ~pinned:(Array.make n_tasks 0)
-           Noc_experiments.Runner.Edf platform ctg))
+           Noc_pipeline.Pipeline.Edf platform ctg))
 
 let suite =
   [

@@ -10,7 +10,7 @@ let job_counts = [ 1; 2; 4 ]
 let evaluation_fingerprint (e : Noc_experiments.Runner.evaluation) =
   let m = e.Noc_experiments.Runner.metrics in
   Printf.sprintf "%s total=%h comp=%h comm=%h mk=%h hops=%h miss=%d rv=%d"
-    (Noc_experiments.Runner.algo_name e.Noc_experiments.Runner.algo)
+    (Noc_pipeline.Pipeline.algo_name e.Noc_experiments.Runner.algo)
     m.Noc_sched.Metrics.total_energy m.Noc_sched.Metrics.computation_energy
     m.Noc_sched.Metrics.communication_energy m.Noc_sched.Metrics.makespan
     m.Noc_sched.Metrics.average_hops
@@ -134,7 +134,7 @@ let test_schedule_path_jobs_invariant () =
       let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
       let run jobs =
         schedule_fingerprint
-          (Noc_experiments.Runner.schedule_of ~jobs Noc_experiments.Runner.Eas
+          (Noc_pipeline.Pipeline.schedule_of ~jobs Noc_pipeline.Pipeline.Eas
              platform ctg)
       in
       let serial = run 1 in

@@ -13,7 +13,7 @@ module Ctg = Noc_ctg.Ctg
 module Ctg_io = Noc_ctg.Ctg_io
 module Task = Noc_ctg.Task
 module Edge = Noc_ctg.Edge
-module Runner = Noc_experiments.Runner
+module Pipeline = Noc_pipeline.Pipeline
 
 let platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols:4 ~rows:4 ()
 
@@ -24,12 +24,12 @@ let graph ?(tasks = 20) seed =
 let mk_state ?(capacity = 64) ?jobs () =
   Server.make_state { Server.socket_path = "unused"; capacity; jobs }
 
-let schedule_line ?(algo = Runner.Eas) ?(decisions = false) ?dvfs ?id ctg =
+let schedule_line ?(algo = Pipeline.Eas) ?(decisions = false) ?dvfs ?id ctg =
   Protocol.request_to_line ?id
     (Protocol.Schedule
        { ctg_text = Ctg_io.to_string ctg; mesh = (4, 4); algo; decisions; dvfs })
 
-let reschedule_line ?(algo = Runner.Eas) ?id ~faults ctg =
+let reschedule_line ?(algo = Pipeline.Eas) ?id ~faults ctg =
   Protocol.request_to_line ?id
     (Protocol.Reschedule
        { ctg_text = Ctg_io.to_string ctg; mesh = (4, 4); algo; faults })
@@ -115,7 +115,7 @@ let test_protocol_roundtrip () =
         {
           ctg_text = "x\ny";
           mesh = (4, 4);
-          algo = Runner.Eas;
+          algo = Pipeline.Eas;
           decisions = true;
           dvfs = None;
         };
@@ -123,7 +123,7 @@ let test_protocol_roundtrip () =
         {
           ctg_text = "x";
           mesh = (4, 4);
-          algo = Runner.Eas;
+          algo = Pipeline.Eas;
           decisions = false;
           dvfs = Some Noc_dvfs.Vf_table.default;
         };
@@ -131,12 +131,12 @@ let test_protocol_roundtrip () =
         {
           ctg_text = "x";
           mesh = (3, 3);
-          algo = Runner.Edf;
+          algo = Pipeline.Edf;
           faults = [ "pe:1"; "link:3-7" ];
           self_timed = true;
         };
       Protocol.Reschedule
-        { ctg_text = "x"; mesh = (8, 8); algo = Runner.Eas_base; faults = [ "pe:2" ] };
+        { ctg_text = "x"; mesh = (8, 8); algo = Pipeline.Eas_base; faults = [ "pe:2" ] };
       Protocol.Stats;
       Protocol.Shutdown;
     ]
@@ -151,18 +151,35 @@ let test_protocol_roundtrip () =
       | Error msg -> Alcotest.failf "%s failed to re-parse: %s" (Protocol.op_name r) msg)
     requests
 
+(* Each rejected line with its exact wire error: clients match on these
+   strings, so a parser change must not reword them. *)
 let test_protocol_errors () =
-  let bad line =
-    match Protocol.parse_request line with
-    | Ok _ -> Alcotest.failf "accepted %S" line
-    | Error _ -> ()
-  in
-  bad "{oops";
-  bad "42";
-  bad {|{"op": "frobnicate"}|};
-  bad {|{"op": "schedule"}|};
-  (* a schedule without a ctg *)
-  bad {|{"op": "schedule", "ctg": "x", "mesh": "4x"}|}
+  List.iter
+    (fun (line, expected) ->
+      match Protocol.parse_request line with
+      | Ok _ -> Alcotest.failf "accepted %S" line
+      | Error msg -> Alcotest.(check string) line expected msg)
+    [
+      ("{oops", {|malformed request JSON: at byte 1: expected ", found o|});
+      ("42", "malformed request: expected a JSON object");
+      ( {|{"op": "frobnicate"}|},
+        {|unknown op "frobnicate" (known: schedule, simulate, reschedule, stats, shutdown)|}
+      );
+      (* a schedule without a ctg *)
+      ({|{"op": "schedule"}|}, {|missing field "ctg"|});
+      ( {|{"op": "schedule", "ctg": "x", "mesh": "4x"}|},
+        {|mesh "4x" must be COLSxROWS with positive integers|} );
+      ( {|{"op": "schedule", "ctg": "x", "mesh": "0x4"}|},
+        {|mesh "0x4" must be COLSxROWS with positive integers|} );
+      ( {|{"op": "schedule", "ctg": "x", "algo": "HEFT"}|},
+        {|algo "heft" must be eas, eas-base or edf|} );
+      ( {|{"op": "schedule", "ctg": "x", "vf_levels": "1,0.5"}|},
+        {|field "vf_levels" needs "dvfs": true|} );
+      ( {|{"op": "schedule", "ctg": "x", "dvfs": true, "vf_levels": "1,abc"}|},
+        {|field "vf_levels": level "abc" is not a number|} );
+      ( {|{"op": "schedule", "ctg": "x", "dvfs": "yes"}|},
+        {|field "dvfs" must be a boolean|} );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Server: structured errors *)
@@ -179,7 +196,7 @@ let test_malformed_requests () =
             {
               ctg_text = "garbage";
               mesh = (4, 4);
-              algo = Runner.Eas;
+              algo = Pipeline.Eas;
               decisions = false;
               dvfs = None;
             }))
@@ -193,7 +210,7 @@ let test_malformed_requests () =
             {
               ctg_text = Ctg_io.to_string (graph 0);
               mesh = (4, 4);
-              algo = Runner.Eas;
+              algo = Pipeline.Eas;
               faults = [ "pe:bogus" ];
             }))
   in
@@ -207,10 +224,38 @@ let test_malformed_requests () =
              {
                ctg_text = Ctg_io.to_string (graph 0);
                mesh = (3, 3);
-               algo = Runner.Eas;
+               algo = Pipeline.Eas;
                decisions = false;
                dvfs = None;
              })))
+
+
+(* A mesh the graph cannot fit is refused from the two numbers alone,
+   before any platform is built or memoised for it: even an absurd mesh
+   answers at once, and the next request is served as usual. *)
+let test_mesh_mismatch_fails_fast () =
+  let state = mk_state () in
+  let line mesh =
+    Protocol.request_to_line
+      (Protocol.Schedule
+         {
+           ctg_text = Ctg_io.to_string (graph 0);
+           mesh;
+           algo = Pipeline.Eas;
+           decisions = false;
+           dvfs = None;
+         })
+  in
+  let t0 = Unix.gettimeofday () in
+  let err = expect_error state (line (1000, 1000)) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "structured error"
+    "graph expects 16 PEs but mesh 1000x1000 has 1000000" err;
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.3f s (< 1 s)" elapsed)
+    true (elapsed < 1.);
+  let reply, _ = Server.handle_line state (line (4, 4)) in
+  Alcotest.(check bool) "next request answered" true (is_ok (parse_reply reply))
 
 (* ------------------------------------------------------------------ *)
 (* Server: cache behaviour and bit-identity *)
@@ -242,7 +287,7 @@ let test_cached_hit_bit_identity () =
     (str_member "key" second);
   Alcotest.(check bool) "certified" true (bool_member "certified" second);
   (* The daemon's schedule is the one-shot scheduler's schedule. *)
-  let direct = Runner.schedule_of Runner.Eas platform g in
+  let direct = Pipeline.schedule_of Pipeline.Eas platform g in
   Alcotest.(check string) "identical to direct run"
     (Noc_sched.Schedule_io.to_string direct)
     (str_member "schedule" first);
@@ -294,7 +339,7 @@ let test_permuted_edges_hit () =
   let sa = str_member "schedule" ra and sb = str_member "schedule" rb in
   Alcotest.(check bool) "labels rewritten" true (sa <> sb);
   certify_reply_schedule ~ctg:gb rb;
-  let direct = Runner.schedule_of Runner.Eas platform gb in
+  let direct = Pipeline.schedule_of Pipeline.Eas platform gb in
   Alcotest.(check string) "identical to scheduling gb directly"
     (Noc_sched.Schedule_io.to_string direct) sb
 
@@ -340,7 +385,7 @@ let test_reschedule_incremental () =
     | Ok f -> f
     | Error msg -> Alcotest.fail msg
   in
-  let base = Runner.schedule_of Runner.Eas platform g in
+  let base = Pipeline.schedule_of Pipeline.Eas platform g in
   let direct = (Noc_eas.Fault_resched.run platform g ~faults base).Noc_eas.Fault_resched.schedule in
   Alcotest.(check string) "identical to the direct ladder"
     (Noc_sched.Schedule_io.to_string direct)
@@ -355,7 +400,7 @@ let test_simulate_request () =
          {
            ctg_text = Ctg_io.to_string g;
            mesh = (4, 4);
-           algo = Runner.Eas;
+           algo = Pipeline.Eas;
            faults = [];
            self_timed = false;
          })
@@ -454,7 +499,7 @@ let test_concurrent_clients () =
   done;
   (* Expected energies, computed directly. *)
   let energy_of g =
-    let s = Runner.schedule_of Runner.Eas platform g in
+    let s = Pipeline.schedule_of Pipeline.Eas platform g in
     (Noc_sched.Metrics.compute platform g s).Noc_sched.Metrics.total_energy
   in
   let seeds_a = [ 10; 11; 12 ] and seeds_b = [ 13; 14; 15 ] in
@@ -609,6 +654,7 @@ let suite =
     Alcotest.test_case "protocol round-trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
     Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
+    Alcotest.test_case "mismatched mesh fails fast" `Quick test_mesh_mismatch_fails_fast;
     Alcotest.test_case "cached hit bit-identity" `Quick test_cached_hit_bit_identity;
     Alcotest.test_case "permuted edges hit" `Quick test_permuted_edges_hit;
     Alcotest.test_case "eviction at capacity" `Quick test_eviction_at_capacity;
